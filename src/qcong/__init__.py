@@ -20,11 +20,9 @@ from .congruence import (
     scan_alpha_gt_beta,
     scan_phi_powers,
     valuation_table,
-    verify_lehner_direct,
     verify_theorem2,
 )
 from .eta import (
-    EtaQuotientSpec,
     check_cusp_relation,
     eta_eval,
     euler_product,
@@ -50,7 +48,6 @@ from .series import (
     PrecisionError,
     QSeries,
     agree,
-    u_op,
     val_p,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "BasisElement",
     "CongruenceCase",
     "CongruenceReport",
-    "EtaQuotientSpec",
     "GENUS_ZERO_PRIMES",
     "ModularEquation",
     "NotInvertibleError",
@@ -89,12 +85,10 @@ __all__ = [
     "rp_report",
     "scan_alpha_gt_beta",
     "scan_phi_powers",
-    "u_op",
     "up_iterate",
     "val_p",
     "valuation_table",
     "verify_hpoly_relation",
-    "verify_lehner_direct",
     "verify_power_sum_divisibility",
     "verify_theorem2",
     "verify_up_closure",

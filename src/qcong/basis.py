@@ -14,8 +14,6 @@ from .eta import phi, psi
 from .primes import PrimeContext
 from .series import PrecisionError, QSeries
 
-_ZERO = Fraction(0)
-
 
 class NotPolynomialError(ValueError):
     """A series failed to reduce to a polynomial of the requested shape."""
@@ -35,22 +33,22 @@ class PhiPolynomial:
         self.coeffs = {}
         if coeffs:
             for k, c in dict(coeffs).items():
-                c = Fraction(c)
+                c = c if type(c) in (int, Fraction) else Fraction(c)
                 if c:
                     if k < 0:
                         raise ValueError("negative degrees are not allowed")
                     self.coeffs[int(k)] = c
 
     @property
-    def constant(self) -> Fraction:
-        return self.coeffs.get(0, _ZERO)
+    def constant(self) -> int | Fraction:
+        return self.coeffs.get(0, 0)
 
     @property
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs.get(k, _ZERO)
+    def __getitem__(self, k: int) -> int | Fraction:
+        return self.coeffs.get(k, 0)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -77,7 +75,7 @@ class PhiPolynomial:
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, _ZERO) + c
+            out[k] = out.get(k, 0) + c
         return PhiPolynomial(out, self._ctx_or(other))
 
     def __sub__(self, other):
@@ -95,11 +93,11 @@ class PhiPolynomial:
             )
         if not isinstance(other, PhiPolynomial):
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                out[k] = out.get(k, _ZERO) + c1 * c2
+                out[k] = out.get(k, 0) + c1 * c2
         return PhiPolynomial(out, self._ctx_or(other))
 
     def __rmul__(self, other):
@@ -111,7 +109,7 @@ class PhiPolynomial:
             return QSeries.zero(series.prec, series.ram)
         acc = QSeries.zero(series.prec - series.val, series.ram)
         for k in range(self.degree, -1, -1):
-            acc = acc * series + self.coeffs.get(k, _ZERO)
+            acc = acc * series + self.coeffs.get(k, 0)
         return acc
 
 
@@ -124,7 +122,7 @@ class BasisElement:
     series: QSeries
     psi_poly: dict = field(default_factory=dict)  # degree -> int, monic, no constant
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> int | Fraction:
         return self.series.coeff(n)
 
 
@@ -197,7 +195,7 @@ def express_in_phi(
         raise PrecisionError("phi expansion is shorter than the target series")
     constant = s.coeff(0)
     residual = s - constant
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int | Fraction] = {}
     power = QSeries.one(s.prec)
     for k in range(1, maxdeg + 1):
         power = (power * phi_series).truncate(s.prec)
@@ -234,13 +232,13 @@ def express_in_psi(
     for _ in range(2, maxdeg + 1):
         powers.append(powers[-1] * psi_series)
     residual = s
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int | Fraction] = {}
     for k in range(maxdeg, 0, -1):
         c = residual.coeff(-k)
         if c:
             coeffs[k] = c
             residual = residual - c * powers[k]
-    constant = residual.coeff(0) if residual.known(0) else _ZERO
+    constant = residual.coeff(0) if residual.known(0) else 0
     residual = residual - constant
     if not residual.is_zero():
         bad = residual.val

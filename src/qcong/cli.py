@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Exit codes: 0 = all checks passed, 1 = a verification found a counterexample,
-2 = usage or configuration error.
+2 = usage or configuration error, 3 = internal error.
 """
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import congruence, eta, hecke
 from .basis import basis_element
 from .congruence import j_series
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
-from .series import PrecisionError
 
 
 class UsageError(Exception):
@@ -29,7 +29,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--output", default=None, help="output file (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sub.add_argument("--exploratory", action="store_true")
 
 
@@ -106,8 +105,11 @@ def _precision(args, minimum: int = 16, default: int = 256) -> int:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -230,9 +232,10 @@ def _verify_theorem2(args, ctx):
 
 
 def _verify_lehner(args, ctx):
-    prec = args.precision
-    report = congruence.verify_lehner_direct(
-        ctx, m=args.m, d_max=args.d_max, n_max=args.n_max or 32, base_prec=prec
+    if not 1 <= args.m < ctx.p:
+        raise UsageError(f"--m must satisfy 1 <= m < {ctx.p}")
+    report = congruence.verify_theorem2(
+        ctx, m_max=args.m, d_max=args.d_max, n_max=args.n_max or 32, base_prec=args.precision
     )
     lines = [
         f"lehner p={ctx.p} m={args.m} d<={args.d_max}: "
@@ -433,9 +436,15 @@ def run(argv=None) -> int:
         if args.command == "scan":
             return _cmd_scan(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, PrecisionError) as exc:
+    except (UsageError, ValueError) as exc:
+        # the library raises ValueError (PrecisionError included) for an
+        # argument out of range, so bad input never looks like a counterexample
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

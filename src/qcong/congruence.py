@@ -8,8 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .basis import basis_family, express_in_phi
-from .eta import euler_product
-from .hecke import up_iterate
+from .eta import euler_product, phi
 from .primes import PrimeContext
 from .series import QSeries, val_p
 
@@ -32,7 +31,7 @@ class CongruenceCase:
     observed: object  # valuation; math.inf for a zero coefficient
     required: int
     ok: bool
-    value: Fraction | None = None  # populated only for failing cases
+    value: int | Fraction | None = None  # populated only for failing cases
 
 
 @dataclass(frozen=True)
@@ -47,17 +46,9 @@ class CongruenceReport:
         return tuple(c for c in self.cases if not c.ok)
 
 
-def _int_val(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
 def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int) -> int:
     """Precision needed so that n_max coefficients survive the decimations."""
-    alpha_max = max((_int_val(m, ctx.p) for m in range(1, m_max + 1)), default=0)
+    alpha_max = max((val_p(m, ctx.p) for m in range(1, m_max + 1)), default=0)
     return n_max * ctx.p ** (alpha_max + d_max) + m_max + 16
 
 
@@ -81,7 +72,7 @@ def verify_theorem2(
     fam = basis_family(ctx, m_max, base_prec)
     cases = []
     for m in range(1, m_max + 1):
-        alpha = _int_val(m, p)
+        alpha = val_p(m, p)
         m_prime = m // p**alpha
         s = fam[m].series
         for beta in range(1, alpha + d_max + 1):
@@ -101,19 +92,6 @@ def verify_theorem2(
                     )
                 )
     return CongruenceReport(ctx, base_prec, tuple(cases), all(c.ok for c in cases))
-
-
-def verify_lehner_direct(
-    ctx: PrimeContext,
-    m: int,
-    d_max: int,
-    n_max: int | None = None,
-    base_prec: int | None = None,
-) -> CongruenceReport:
-    """Direct check of the small-pole-order statement (pole order below p)."""
-    if not 1 <= m < ctx.p:
-        raise ValueError(f"m must satisfy 1 <= m < {ctx.p}")
-    return verify_theorem2(ctx, m_max=m, d_max=d_max, n_max=n_max, base_prec=base_prec)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +185,12 @@ def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int, base_prec: int
     if not ms:
         return []
     if base_prec is None:
-        alpha_max = max(_int_val(m, p) for m in ms)
+        alpha_max = max(val_p(m, p) for m in ms)
         base_prec = n_max * p**alpha_max + m_max + 16
     fam = basis_family(ctx, m_max, base_prec)
     rows = []
     for m in ms:
-        alpha = _int_val(m, p)
+        alpha = val_p(m, p)
         s = fam[m].series
         for beta in range(0, alpha + 1):
             if beta:
@@ -232,8 +210,8 @@ def scan_phi_powers(
     base_prec: int | None = None,
 ):
     """Valuations of coefficients of U_p^beta phi^k; rows (k, beta, n, v)."""
-    from .eta import phi
-
+    if d_max < 0:
+        raise ValueError("d_max must be nonnegative")
     p = ctx.p
     if base_prec is None:
         base_prec = n_max * p**d_max + 16
@@ -262,7 +240,7 @@ def scan_phi_powers(
 class UpStepDecomposition:
     ctx: PrimeContext
     m: int
-    constant: Fraction
+    constant: int | Fraction
     lower_pole_order: int | None  # m/p when p | m, else None
     degree_valuations: dict  # phi-degree -> valuation
     floors: dict  # phi-degree -> predicted floor lam*i/2 - 1

@@ -8,27 +8,10 @@ evaluation on the upper half-plane used for the cusp-relation check.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .primes import PrimeContext
 from .series import QSeries
-
-
-@dataclass(frozen=True)
-class EtaQuotientSpec:
-    """Product of rescaled eta factors eta(t*tau)^r with its net q-exponent."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def q_exponent(self) -> Fraction:
-        return sum((Fraction(t * r, 24) for t, r in self.factors), Fraction(0))
-
-    @classmethod
-    def hauptmodul(cls, ctx: PrimeContext) -> "EtaQuotientSpec":
-        return cls(((1, ctx.lam), (ctx.p, -ctx.lam)))
 
 
 def euler_product(n: int) -> QSeries:
@@ -122,14 +105,4 @@ def check_cusp_relation(ctx: PrimeContext, tau: complex) -> float:
         raise ValueError("check_cusp_relation requires Im(tau) > 0")
     lhs = psi_eval(ctx, -1 / (ctx.p * tau))
     rhs = ctx.p ** (ctx.lam / 2) * phi_eval(ctx, tau)
-    return abs(lhs - rhs)
-
-
-def check_cusp_relation_inverse(ctx: PrimeContext, tau: complex) -> float:
-    """|phi(-1/(p tau)) - p^{-lam/2} psi(tau)| at the given point."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("check_cusp_relation_inverse requires Im(tau) > 0")
-    lhs = phi_eval(ctx, -1 / (ctx.p * tau))
-    rhs = ctx.p ** (-ctx.lam / 2) * psi_eval(ctx, tau)
     return abs(lhs - rhs)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .basis import NotPolynomialError, PhiPolynomial, express_in_phi
 from .eta import phi
@@ -55,10 +54,10 @@ def derive_bj(ctx: PrimeContext, n: int = 128) -> ModularEquation:
         raise ArithmeticError("U_p phi unexpectedly has a constant term")
     b = []
     for j in range(1, p + 1):
-        c = poly[j] / p
-        if c.denominator != 1:
+        c, r = divmod(poly[j], p)
+        if r:
             raise ArithmeticError(f"b_{j} is not an integer; precision too low?")
-        b.append(int(c))
+        b.append(c)
     return ModularEquation(ctx, tuple(b))
 
 
@@ -181,6 +180,8 @@ def verify_up_closure(
     """Seeded random lattice elements must gain at least p^delta under U_p."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if deg_max < 1:
+        raise ValueError("deg_max must be positive")
     p = ctx.p
     if n is None:
         n = max(256, p * (p * deg_max + 16))

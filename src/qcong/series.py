@@ -6,6 +6,11 @@ its precision bound ``prec`` (both inclusive, in ``w``-units where
 pessimistically so that an operation never emits a coefficient its inputs do
 not determine.
 
+Coefficients are Python ints wherever the values are integral, and
+``fractions.Fraction`` only where a denominator arises (a division, or a
+non-integral input).  Both expose ``numerator``/``denominator`` and print and
+hash alike, so no code path needs to tell them apart.
+
 Multiplication clears denominators and runs an integer convolution.  Large
 convolutions use Kronecker substitution (pack the coefficients into one big
 integer, multiply, unpack), with gmpy2 doing the big multiply when available.
@@ -19,9 +24,6 @@ try:
     import gmpy2
 except ImportError:  # pragma: no cover - gmpy2 is an accelerator only
     gmpy2 = None
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotInvertibleError(ArithmeticError):
@@ -45,8 +47,7 @@ def _val_p_int(n: int, p: int):
 
 
 def val_p(x, p: int):
-    """p-adic valuation of a rational; +inf for zero."""
-    x = Fraction(x)
+    """p-adic valuation of an int or Fraction; +inf for zero."""
     if x == 0:
         return math.inf
     return _val_p_int(x.numerator, p) - _val_p_int(x.denominator, p)
@@ -111,7 +112,8 @@ def mul_int_lists(a, b):
 
 
 def mul_frac_lists(a, b):
-    """Full convolution of two Fraction coefficient lists."""
+    """Full convolution of two rational (int or Fraction) coefficient lists;
+    an integral product is returned as ints."""
     if not a or not b:
         return []
     da = math.lcm(*(c.denominator for c in a))
@@ -121,7 +123,7 @@ def mul_frac_lists(a, b):
     prod = mul_int_lists(na, nb)
     d = da * db
     if d == 1:
-        return [Fraction(c) for c in prod]
+        return prod
     return [Fraction(c, d) for c in prod]
 
 
@@ -129,7 +131,7 @@ def _mul_trunc(a, b, length):
     prod = mul_frac_lists(a[:length], b[:length])
     prod = prod[:length]
     if len(prod) < length:
-        prod += [_ZERO] * (length - len(prod))
+        prod += [0] * (length - len(prod))
     return prod
 
 
@@ -144,13 +146,13 @@ class QSeries:
     def __init__(self, coeffs, val: int = 0, prec: int | None = None, ram: int = 1):
         if ram < 1:
             raise ValueError("ramification index must be positive")
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
         if prec is None:
             prec = val + len(coeffs) - 1
         if prec < val - 1:
             raise ValueError("prec must be >= val - 1")
         n = prec - val + 1
-        coeffs = coeffs[:n] + [_ZERO] * (n - len(coeffs))
+        coeffs = coeffs[:n] + [0] * (n - len(coeffs))
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1
@@ -176,23 +178,19 @@ class QSeries:
 
     @classmethod
     def one(cls, prec: int, ram: int = 1) -> "QSeries":
-        return cls([_ONE], val=0, prec=prec, ram=ram)
-
-    @classmethod
-    def monomial(cls, coeff, exp: int, prec: int, ram: int = 1) -> "QSeries":
-        return cls([coeff], val=exp, prec=prec, ram=ram)
+        return cls([1], val=0, prec=prec, ram=ram)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> int | Fraction:
         """Coefficient at w-exponent n; raises beyond the precision bound."""
         if n > self.prec:
             raise PrecisionError(f"coefficient at exponent {n} is beyond prec {self.prec}")
         if n < self.val:
-            return _ZERO
+            return 0
         return self.coeffs[n - self.val]
 
     def known(self, n: int) -> bool:
@@ -237,8 +235,6 @@ class QSeries:
                 sgn = "-" if c < 0 else ""
                 e = f"{var}" if exp == 1 else f"{var}^{exp}"
                 term = f"{sgn}{mag}{e}"
-                if not parts:
-                    term = term
             parts.append(term)
         if not parts:
             parts = ["0"]
@@ -258,7 +254,7 @@ class QSeries:
                 return self
             return QSeries(list(self.coeffs), self.val, self.prec, new_ram)
         n = len(self.coeffs)
-        out = [_ZERO] * (n * t) if n else []
+        out = [0] * (n * t) if n else []
         for i, c in enumerate(self.coeffs):
             out[i * t] = c
         return QSeries(out, self.val * t, (self.prec + 1) * t - 1, new_ram)
@@ -285,7 +281,7 @@ class QSeries:
 
     def _scalar(self, c) -> "QSeries":
         # scalar treated as a constant series at the same precision
-        return QSeries([Fraction(c)], 0, max(self.prec, 0), self.ram)
+        return QSeries([c], 0, max(self.prec, 0), self.ram)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -299,7 +295,7 @@ class QSeries:
         if a.is_zero() and b.is_zero():
             return QSeries.zero(prec, a.ram)
         val = min(a.val, b.val, prec + 1)
-        out = [_ZERO] * (prec - val + 1)
+        out = [0] * (prec - val + 1)
         for s in (a, b):
             for i, c in enumerate(s.coeffs):
                 e = s.val + i
@@ -315,9 +311,7 @@ class QSeries:
         return QSeries([-c for c in self.coeffs], self.val, self.prec, self.ram)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__add__(-Fraction(other))
-        if not isinstance(other, QSeries):
+        if not isinstance(other, (int, Fraction, QSeries)):
             return NotImplemented
         return self.__add__(-other)
 
@@ -326,10 +320,9 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if other == 0:
                 return QSeries.zero(self.prec, self.ram)
-            return QSeries([c * x for x in self.coeffs], self.val, self.prec, self.ram)
+            return QSeries([other * x for x in self.coeffs], self.val, self.prec, self.ram)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._aligned(other)
@@ -346,10 +339,9 @@ class QSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
-            return self.__mul__(1 / c)
+            return self.__mul__(Fraction(1, other))
         if isinstance(other, QSeries):
             return self.__mul__(other.invert())
         return NotImplemented
@@ -360,14 +352,15 @@ class QSeries:
             raise NotInvertibleError("cannot invert a zero-to-precision series")
         u = list(self.coeffs)
         total = len(u)
-        x = [1 / u[0]]
+        # a unit leading coefficient is its own inverse, so integral units stay int
+        x = [u[0] if u[0] in (1, -1) else Fraction(1, u[0])]
         t = 1
         while t < total:
             t2 = min(2 * t, total)
             err = _mul_trunc(u, x, t2)
             err[0] -= 1
             corr = _mul_trunc(x, err, t2)
-            x = [(x[i] if i < len(x) else _ZERO) - corr[i] for i in range(t2)]
+            x = [(x[i] if i < len(x) else 0) - corr[i] for i in range(t2)]
             t = t2
         return QSeries(x, -self.val, self.prec - 2 * self.val, self.ram)
 
@@ -409,15 +402,11 @@ class QSeries:
         lo = -((-self.val) // p)
         if lo > prec:
             return QSeries.zero(prec)
-        out = [_ZERO] * (prec - lo + 1)
+        out = [0] * (prec - lo + 1)
         start = lo * p
         for e in range(start, self.prec + 1, p):
             out[e // p - lo] = self.coeff(e)
         return QSeries(out, lo, prec)
-
-
-def u_op(a: QSeries, p: int) -> QSeries:
-    return a.u_op(p)
 
 
 def agree(a: QSeries, b: QSeries) -> bool:

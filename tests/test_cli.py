@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -207,6 +209,70 @@ class TestUsageErrors:
 
     def test_unknown_target(self, capsys):
         assert run(["verify", "nonsense"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify closure --trials 0",
+            "verify closure --deg-max 0",
+            "verify theorem2 --m-max -1",
+            "verify lehner --m 5",
+            "verify cusp --tau 1-i",
+            "scan phi-powers --d-max -1",
+        ],
+        ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
+             "tau-lower-half-plane", "d-max-negative"],
+    )
+    def test_bad_argument_exits_2(self, capsys, argv):
+        code, out, err = capture(capsys, argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "psi.txt"
+        code, _, err = capture(capsys, ["expand", "--psi", "--output", str(dest)])
+        assert code == 2 and err.startswith("error: cannot write")
+
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("deliberate")
+
+        monkeypatch.setattr("qcong.hecke.derive_bj", broken)
+        code, _, err = capture(capsys, ["verify", "modeq", "--p", "3"])
+        assert code == 3 and "internal error: ZeroDivisionError: deliberate" in err
+
+
+# sha256 of the stdout of each README example: the printed output of the
+# documented commands is pinned byte for byte
+README_EXAMPLES = {
+    "expand --p 2 --psi --precision 8":
+        "0c19e96a5ce803ea47d25a98e0db189500255b3db43ddf8aa67cf11bb06f1ebd",
+    "expand --p 3 --basis 5 --format json":
+        "11f4a932ffea662e5d185becb5b0aab852f5182478aa0412a7471d1c80b51f86",
+    "verify theorem2 --p 5 --m-max 12 --d-max 3":
+        "0f4c2adf6e81ce1458278209e6cb3c94404694e5e66ac61791830c95fdeb0b3d",
+    "verify modeq --p 7":
+        "4658a6a133dc28d132ff78cd04581ec29437d5fd0e03a2437ebacb6086a94640",
+    "verify closure --p 2 --trials 100 --seed 0":
+        "efd0e270f3b099e0e97f8058ab851b3005ad0cd8534b05707757fab47ea25933",
+    # the printed residual is round-off of the platform's complex exp
+    "verify cusp --p 3 --tau '1/3+i'":
+        "abce9c82341fb7ae26d1bacb00d337b98c400a2b130d1b0636ff945c5bff56ac",
+    "table valuations --p 2 --rows 1,3,5,7 --cols 2,4,6,8,10,12 --with-j":
+        "8fca2fb207d92013cb805fc69c375b8bd892b9d1e2dc5eadd93b260794244075",
+    "table bj --p 3":
+        "e604a9659f7a7d01effe076a32e48c16e396e0cebd6cd78a1850ebc6c0edc553",
+    "scan phi-powers --p 3 --pow-max 3 --n-max 32":
+        "48033791868448d3a5bca40b1822f58c67b598618c44337e860cdaa97d86cb9b",
+}
+
+
+@pytest.mark.parametrize("command", list(README_EXAMPLES))
+def test_readme_example_output_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.delenv("QCONG_PRECISION", raising=False)
+    code, out, _ = capture(capsys, shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
 
 
 class TestParseTau:

@@ -12,7 +12,6 @@ from qcong.congruence import (
     scan_alpha_gt_beta,
     scan_phi_powers,
     valuation_table,
-    verify_lehner_direct,
     verify_theorem2,
 )
 from qcong.hecke import up_iterate
@@ -74,19 +73,17 @@ class TestTheorem2:
 
 
 class TestLehnerDirect:
+    """Pole orders below p (the CLI's ``verify lehner``)."""
+
     def test_level5(self):
-        report = verify_lehner_direct(PrimeContext(5), 2, 1, n_max=30)
+        report = verify_theorem2(PrimeContext(5), m_max=2, d_max=1, n_max=30)
         assert report.ok
         assert all(c.required == 2 for c in report.cases if c.beta == 1)
 
     def test_level7(self):
-        report = verify_lehner_direct(PrimeContext(7), 3, 1, n_max=30)
+        report = verify_theorem2(PrimeContext(7), m_max=3, d_max=1, n_max=30)
         assert report.ok
         assert all(c.required == 1 for c in report.cases if c.beta == 1)
-
-    def test_rejects_large_pole_order(self):
-        with pytest.raises(ValueError):
-            verify_lehner_direct(PrimeContext(3), 3, 1, n_max=10)
 
 
 class TestJSeries:

@@ -4,12 +4,11 @@ import math
 import pytest
 
 from qcong.eta import (
-    EtaQuotientSpec,
     check_cusp_relation,
-    check_cusp_relation_inverse,
     eta_eval,
     euler_product,
     phi,
+    phi_eval,
     psi,
     psi_eval,
 )
@@ -55,15 +54,6 @@ class TestEulerProduct:
     def test_coefficients_in_pm_one(self):
         e = euler_product(4096)
         assert all(c in (-1, 0, 1) for c in e.coeffs)
-
-
-class TestEtaQuotientSpec:
-    def test_hauptmodul_prefactor(self):
-        for p in (2, 3, 5, 7):
-            spec = EtaQuotientSpec.hauptmodul(PrimeContext(p))
-            lam = 24 // (p - 1)
-            assert spec.factors == ((1, lam), (p, -lam))
-            assert spec.q_exponent == -1
 
 
 class TestPsi:
@@ -145,8 +135,12 @@ class TestCuspRelation:
                 assert check_cusp_relation(ctx, tau) < 1e-8
 
     def test_inverse_relation(self):
+        # phi(-1/(p tau)) = p^(-lam/2) psi(tau), checked at tau = i
         for p in (2, 3, 5, 7):
-            assert check_cusp_relation_inverse(PrimeContext(p), 1j) < 1e-8
+            ctx = PrimeContext(p)
+            lhs = phi_eval(ctx, -1 / (p * 1j))
+            rhs = p ** (-ctx.lam / 2) * psi_eval(ctx, 1j)
+            assert abs(lhs - rhs) < 1e-8
 
     def test_series_matches_numeric_at_2i(self):
         for p in (2, 3, 5, 7):

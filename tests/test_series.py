@@ -4,6 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from qcong.basis import basis_family
+from qcong.congruence import j_series
+from qcong.eta import euler_product, phi, psi
+from qcong.hecke import derive_bj
+from qcong.primes import PrimeContext
 from qcong.series import (
     NotInvertibleError,
     PrecisionError,
@@ -254,6 +259,32 @@ class TestPrecisionHonesty:
             if not a_lo.is_zero() and a_lo.coeff(a_lo.val) != 0:
                 lo, hi = a_lo.invert(), a_hi.invert()
                 assert all(lo.coeff(n) == hi.coeff(n) for n in range(lo.val, lo.prec + 1))
+
+
+class TestCoefficientTypes:
+    """Integral values stay int; Fraction only where a denominator arises."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_integral_objects_have_int_coefficients(self, p):
+        ctx = PrimeContext(p)
+        objects = [psi(ctx, 64), phi(ctx, 64), euler_product(64), j_series(64)]
+        objects += [e.series for e in basis_family(ctx, 6, 64)]
+        for s in objects:
+            assert all(type(c) is int for c in s.coeffs)
+        assert all(type(b) is int for b in derive_bj(ctx).b)
+
+    def test_denominators_give_fractions_not_floats(self):
+        inv = QSeries([2, 1]).invert()
+        assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4))
+        half = QSeries([3, 1]) / 2
+        assert half.coeffs == (Fraction(3, 2), Fraction(1, 2))
+        for s in (inv, half):
+            assert all(type(c) is Fraction for c in s.coeffs)
+
+    def test_other_inputs_are_converted_to_fraction(self):
+        s = QSeries([0.5, True])
+        assert s.coeffs == (Fraction(1, 2), 1)
+        assert all(type(c) is Fraction for c in s.coeffs)
 
 
 def test_coeff_beyond_precision_raises():
