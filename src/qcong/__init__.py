@@ -36,6 +36,7 @@ from .hecke import (
     derive_bj,
     g_poly,
     power_sum,
+    power_sums,
     rp_report,
     up_iterate,
     verify_hpoly_relation,
@@ -81,6 +82,7 @@ __all__ = [
     "j_series",
     "phi",
     "power_sum",
+    "power_sums",
     "psi",
     "rp_report",
     "scan_alpha_gt_beta",

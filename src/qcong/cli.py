@@ -92,13 +92,13 @@ def _context(args) -> PrimeContext:
     raise UsageError(f"unsupported level p={p} (13 requires --exploratory)")
 
 
-def _precision(args, minimum: int = 16, default: int = 256) -> int:
+def _precision(args, minimum: int = 16, default: int | None = 256) -> int | None:
     if args.precision is not None:
         prec = args.precision
     else:
         env = os.environ.get("QCONG_PRECISION")
         prec = int(env) if env else default
-    if prec < minimum:
+    if prec is not None and prec < minimum:
         raise UsageError(f"precision must be at least {minimum}")
     return prec
 
@@ -235,7 +235,12 @@ def _verify_lehner(args, ctx):
     if not 1 <= args.m < ctx.p:
         raise UsageError(f"--m must satisfy 1 <= m < {ctx.p}")
     report = congruence.verify_theorem2(
-        ctx, m_max=args.m, d_max=args.d_max, n_max=args.n_max or 32, base_prec=args.precision
+        ctx,
+        m_max=args.m,
+        d_max=args.d_max,
+        n_max=32 if args.n_max is None else args.n_max,
+        # without an override the precision follows from n_max
+        base_prec=_precision(args, default=None),
     )
     lines = [
         f"lehner p={ctx.p} m={args.m} d<={args.d_max}: "
@@ -271,7 +276,7 @@ def _verify_hrelation(args, ctx):
 
 
 def _verify_powersums(args, ctx):
-    n_max = args.n_max or 2 * ctx.p
+    n_max = 2 * ctx.p if args.n_max is None else args.n_max
     report = hecke.verify_power_sum_divisibility(ctx, n_max)
     lines = [f"powersums p={ctx.p} n<={n_max}"]
     for row in report.rows:

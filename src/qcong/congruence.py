@@ -65,6 +65,13 @@ def verify_theorem2(
     the pole-order-1 element already violates the stated modulus).
     """
     p = ctx.p
+    # each bound below leaves no case to check, which would read as a PASS
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
+    if n_max is not None and n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if base_prec is None:
         if n_max is None:
             raise ValueError("give either n_max or base_prec")

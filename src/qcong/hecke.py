@@ -75,15 +75,15 @@ def g_poly(eq: ModularEquation, j: int) -> PhiPolynomial:
     )
 
 
-def power_sum(eq: ModularEquation, n: int) -> PhiPolynomial:
-    """n-th power sum of the roots of the modular equation, via Newton's
-    identities with the explicit n*g_n correction term."""
-    if n < 1:
+def power_sums(eq: ModularEquation, n_max: int) -> list:
+    """Power sums 1..n_max of the roots of the modular equation, in one pass
+    of Newton's identities with the explicit n*g_n correction term."""
+    if n_max < 1:
         raise ValueError("n must be positive")
     p = eq.ctx.p
     g = {j: g_poly(eq, j) for j in range(1, p + 1)}
     sums = [None]  # 1-indexed
-    for k in range(1, n + 1):
+    for k in range(1, n_max + 1):
         acc = PhiPolynomial({}, eq.ctx)
         for j in range(1, min(k - 1, p) + 1):
             term = g[j] * sums[k - j]
@@ -92,7 +92,12 @@ def power_sum(eq: ModularEquation, n: int) -> PhiPolynomial:
             term = g[k] * k
             acc = acc + term if (k + 1) % 2 == 0 else acc - term
         sums.append(acc)
-    return sums[n]
+    return sums[1:]
+
+
+def power_sum(eq: ModularEquation, n: int) -> PhiPolynomial:
+    """n-th power sum of the roots of the modular equation."""
+    return power_sums(eq, n)[-1]
 
 
 def rp_report(ctx: PrimeContext, poly: PhiPolynomial) -> RpReport:
@@ -129,10 +134,12 @@ def power_sum_target(ctx: PrimeContext, n: int) -> int:
 
 
 def verify_power_sum_divisibility(ctx: PrimeContext, n_max: int) -> PowerSumReport:
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     eq = derive_bj(ctx)
     rows = []
-    for n in range(1, n_max + 1):
-        rep = rp_report(ctx, power_sum(eq, n))
+    for n, s in enumerate(power_sums(eq, n_max), start=1):
+        rep = rp_report(ctx, s)
         required = power_sum_target(ctx, n)
         rows.append(PowerSumRow(n, rep.t, required, rep.t >= required))
     return PowerSumReport(ctx, tuple(rows), all(r.ok for r in rows))

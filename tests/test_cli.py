@@ -219,14 +219,35 @@ class TestUsageErrors:
             "verify lehner --m 5",
             "verify cusp --tau 1-i",
             "scan phi-powers --d-max -1",
+            "verify theorem2 --p 7 --n-max 0 --m-max 2 --d-max 1",
+            "verify theorem2 --p 7 --m-max 0 --d-max 1 --precision 64",
+            "verify theorem2 --p 7 --m-max 2 --d-max 0 --precision 64",
+            "verify powersums --p 3 --n-max -3",
+            "verify powersums --n-max 0",
+            "verify lehner --p 5 --m 1 --n-max 0",
+            "verify lehner --p 5 --m 1 --precision 8",
         ],
         ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
-             "tau-lower-half-plane", "d-max-negative"],
+             "tau-lower-half-plane", "d-max-negative", "theorem2-n-max-0",
+             "theorem2-m-max-0", "theorem2-d-max-0", "powersums-n-max-negative",
+             "powersums-n-max-0", "lehner-n-max-0", "lehner-precision-below-minimum"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_lehner_reads_the_precision_env(self, capsys, monkeypatch):
+        argv = ["verify", "lehner", "--p", "5", "--m", "1"]
+        monkeypatch.setenv("QCONG_PRECISION", "8")
+        code, out, err = capture(capsys, argv)
+        assert code == 2 and out == "" and "precision must be at least 16" in err
+        monkeypatch.setenv("QCONG_PRECISION", "16")
+        from_env = capture(capsys, argv)
+        monkeypatch.delenv("QCONG_PRECISION")
+        assert from_env == capture(capsys, argv + ["--precision", "16"])
+        # without an override the precision follows from n_max = 32
+        assert from_env != capture(capsys, argv)
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "psi.txt"

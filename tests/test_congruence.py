@@ -71,6 +71,13 @@ class TestTheorem2:
         with pytest.raises(ValueError):
             verify_theorem2(PrimeContext(2), m_max=2, d_max=1)
 
+    @pytest.mark.parametrize(
+        "m_max, d_max, n_max", [(0, 1, 5), (2, 0, 5), (2, 1, 0), (-1, 1, 5), (2, 1, -4)]
+    )
+    def test_rejects_a_range_without_cases(self, m_max, d_max, n_max):
+        with pytest.raises(ValueError):
+            verify_theorem2(PrimeContext(7), m_max=m_max, d_max=d_max, n_max=n_max)
+
 
 class TestLehnerDirect:
     """Pole orders below p (the CLI's ``verify lehner``)."""

@@ -8,14 +8,16 @@ from qcong.hecke import (
     derive_bj,
     g_poly,
     power_sum,
+    power_sums,
     rp_report,
     up_iterate,
     verify_hpoly_relation,
     verify_power_sum_divisibility,
     verify_up_closure,
 )
+from qcong.eta import phi
 from qcong.primes import PrimeContext
-from qcong.series import QSeries
+from qcong.series import QSeries, agree
 
 
 class TestUpIterate:
@@ -119,6 +121,29 @@ class TestPowerSums:
             }
         )
         assert power_sum(eq, 3) == expected_s3
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_pass_matches_each_power_sum(self, p):
+        eq = derive_bj(PrimeContext(p))
+        sums = power_sums(eq, 3 * p)
+        assert len(sums) == 3 * p
+        for n, s in enumerate(sums, start=1):
+            assert s == power_sum(eq, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_power_sums_give_up_of_phi_powers(self, p):
+        # an independent route through the series: U_p(phi^n) = s_n(phi) / p^(lam*n/2 + 1)
+        ctx = PrimeContext(p)
+        ph = phi(ctx, 16 * p)
+        for n, s in enumerate(power_sums(derive_bj(ctx), p + 1), start=1):
+            assert agree((ph**n).u_op(p) * p ** (ctx.lam * n // 2 + 1), s.evaluate(ph))
+
+    def test_rejects_empty_range(self):
+        ctx = PrimeContext(3)
+        with pytest.raises(ValueError):
+            power_sums(derive_bj(ctx), 0)
+        with pytest.raises(ValueError):
+            verify_power_sum_divisibility(ctx, 0)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_divisibility_lower_bounds(self, p):

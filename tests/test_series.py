@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,26 @@ from qcong.eta import euler_product, phi, psi
 from qcong.hecke import derive_bj
 from qcong.primes import PrimeContext
 from qcong.series import (
+    _DECIMAL_CUTOFF,
     NotInvertibleError,
     PrecisionError,
     QSeries,
+    _decimal_kronecker,
+    _school_mul,
     agree,
     mul_int_lists,
     val_p,
 )
+
+
+def _limb_digits(a, b):
+    # the fewest decimal digits k with 2|c| < 10^k for every product coefficient
+    # (no str(): it is subject to the int/str digit limit)
+    twice = 2 * min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    digits = (twice.bit_length() - 1) * 3 // 10
+    while 10**digits <= twice:
+        digits += 1
+    return digits
 
 
 def series(coeffs, val=0, prec=None, ram=1):
@@ -106,6 +121,76 @@ class TestKroneckerKernel:
                 for j, y in enumerate(b):
                     ref[i + j] += x * y
             assert mul_int_lists(a, b) == ref
+
+    def test_decimal_radix_matches_schoolbook(self):
+        rng = random.Random(12)
+        shapes = [(1, 40), (40, 1), (1, 1), (7, 93), (93, 7), (64, 65)]
+        for la, lb in shapes * 4:
+            bits = rng.choice([1, 8, 64, 300])
+            a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
+            b = [rng.randint(-(2**bits), 2**bits) for _ in range(lb)]
+            a[-1] = a[-1] or 1
+            b[0] = b[0] or -1
+            cases = [
+                (a, b),
+                ([-abs(c) for c in a], [-abs(c) for c in b]),  # all negative
+                ([0, 0] + a + [0, 0, 0], [0] + b),  # low and high zeros
+                (a, [0] * lb + [-1]),  # a single negative top coefficient
+            ]
+            for x, y in cases:
+                assert _decimal_kronecker(x, y, _limb_digits(x, y)) == _school_mul(x, y)
+
+    def test_decimal_radix_at_the_limb_bound(self):
+        # every product coefficient as close to 10^digits / 2 as the limb allows
+        for digits, n in [(3, 1), (3, 5), (20, 17), (151, 64)]:
+            top = math.isqrt((10**digits // 2 - 1) // n)
+            for a, b in [
+                ([top] * n, [top] * n),
+                ([-top] * n, [top] * n),
+                ([top, -top] * n, [-top, top] * n),
+                ([top, -top] * n, [top, -top] * n),
+            ]:
+                a, b = a[:n], b[:n]
+                assert 2 * max(map(abs, _school_mul(a, b))) < 10**digits
+                assert _decimal_kronecker(a, b, digits) == _school_mul(a, b)
+
+    def test_large_product_through_the_dispatcher(self):
+        rng = random.Random(13)
+        a = [rng.randint(-(2**400), 2**400) for _ in range(300)]
+        b = [rng.randint(-(2**400), 2**400) for _ in range(310)]
+        assert 300 * 800 > _DECIMAL_CUTOFF
+        assert mul_int_lists(a, b) == _school_mul(a, b)
+
+    def test_ignores_the_thread_local_decimal_context(self):
+        rng = random.Random(14)
+        a = [rng.randint(-(2**400), 2**400) for _ in range(300)]
+        b = [rng.randint(-(2**400), 2**400) for _ in range(300)]
+        ref = _school_mul(a, b)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            assert _decimal_kronecker(a, b, _limb_digits(a, b)) == ref
+            assert mul_int_lists(a, b) == ref
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    @pytest.mark.parametrize("limit", [None, 640])
+    def test_limb_wider_than_the_int_str_digit_limit(self, limit):
+        old = sys.get_int_max_str_digits()
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            width = sys.get_int_max_str_digits() or 4300
+            # coefficients of about width/0.6 bits need limbs of over `width` digits
+            bits = width * 5 // 3
+            rng = random.Random(15)
+            n = _DECIMAL_CUTOFF // (2 * bits) + 1
+            a = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+            b = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+            assert _limb_digits(a, b) > width
+            assert mul_int_lists(a, b) == _school_mul(a, b)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestInvert:
