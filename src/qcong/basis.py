@@ -26,10 +26,9 @@ class NotPolynomialError(ValueError):
 class PhiPolynomial:
     """A polynomial in the reciprocal Hauptmodul with exact coefficients."""
 
-    __slots__ = ("coeffs", "ctx")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, ctx: PrimeContext | None = None):
-        self.ctx = ctx
+    def __init__(self, coeffs=None):
         self.coeffs = {}
         if coeffs:
             for k, c in dict(coeffs).items():
@@ -67,16 +66,13 @@ class PhiPolynomial:
         )
         return f"PhiPolynomial({terms or '0'})"
 
-    def _ctx_or(self, other):
-        return self.ctx if self.ctx is not None else getattr(other, "ctx", None)
-
     def __add__(self, other):
         if not isinstance(other, PhiPolynomial):
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return PhiPolynomial(out, self._ctx_or(other))
+        return PhiPolynomial(out)
 
     def __sub__(self, other):
         if not isinstance(other, PhiPolynomial):
@@ -84,13 +80,11 @@ class PhiPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return PhiPolynomial({k: -c for k, c in self.coeffs.items()}, self.ctx)
+        return PhiPolynomial({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PhiPolynomial(
-                {k: c * other for k, c in self.coeffs.items()}, self.ctx
-            )
+            return PhiPolynomial({k: c * other for k, c in self.coeffs.items()})
         if not isinstance(other, PhiPolynomial):
             return NotImplemented
         out: dict[int, int | Fraction] = {}
@@ -98,7 +92,7 @@ class PhiPolynomial:
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
-        return PhiPolynomial(out, self._ctx_or(other))
+        return PhiPolynomial(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -122,34 +116,49 @@ class BasisElement:
     series: QSeries
     psi_poly: dict = field(default_factory=dict)  # degree -> int, monic, no constant
 
-    def coefficient(self, n: int) -> int | Fraction:
-        return self.series.coeff(n)
+
+def _powers(t: QSeries, k: int, prec: int) -> tuple:
+    """t^0 .. t^k of a Hauptmodul t, each truncated at precision prec."""
+    powers = [QSeries.one(prec), t.truncate(prec)]
+    while len(powers) <= k:
+        powers.append((powers[-1] * t).truncate(prec))
+    return tuple(powers[: k + 1])
+
+
+@lru_cache(maxsize=32)
+def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
+    """phi^0 .. phi^k, each truncated at precision n."""
+    return _powers(phi(ctx, n), k, n)
+
+
+def _eliminate(s: QSeries, powers, degrees):
+    """Clear the leading term of each monic powers[k] from s, in the order
+    of degrees; returns the residual and {k: c} with s = residual + sum
+    c * powers[k]."""
+    coeffs: dict[int, int | Fraction] = {}
+    for k in degrees:
+        c = s.coeff(powers[k].val)
+        if c:
+            coeffs[k] = c
+            s = s - c * powers[k]
+    return s, coeffs
 
 
 @lru_cache(maxsize=8)
-def _basis_family_cached(p: int, exploratory: bool, m_max: int, n: int):
-    ctx = PrimeContext(p, exploratory)
+def _basis_family_cached(ctx: PrimeContext, m_max: int, n: int):
     elements = [BasisElement(ctx, 0, QSeries.one(n), {})]
     if m_max == 0:
         return tuple(elements)
     ps = psi(ctx, n + m_max - 1)
-    powers = [QSeries.one(ps.prec - ps.val), ps]
-    for _ in range(2, m_max + 1):
-        powers.append(powers[-1] * ps)
+    powers = _powers(ps, m_max, ps.prec)
     for m in range(1, m_max + 1):
-        r = powers[m]
-        poly = {m: 1}
-        for k in range(m - 1, 0, -1):
-            c = r.coeff(-k)
-            if c:
-                if c.denominator != 1:
-                    raise ArithmeticError("basis reduction hit a non-integer coefficient")
-                poly[k] = -int(c)  # element = psi^m + sum_k poly[k] * psi^k
-                r = r - c * powers[k]
+        r, coeffs = _eliminate(powers[m], powers, range(m - 1, 0, -1))
         if r.coeff(-m) != 1 or any(r.coeff(-k) != 0 for k in range(1, m)):
             raise ArithmeticError("basis reduction failed to normalize the principal part")
+        # psi^m - sum c_k psi^k is integral only if every c_k is (psi is monic)
         if not r.is_integral():
             raise ArithmeticError("basis element has a non-integer coefficient")
+        poly = {m: 1} | {k: -c for k, c in coeffs.items()}
         elements.append(BasisElement(ctx, m, r, poly))
     return tuple(elements)
 
@@ -158,7 +167,7 @@ def basis_family(ctx: PrimeContext, m_max: int, n: int):
     """Basis elements for pole orders 0..m_max, sharing one psi expansion."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    return _basis_family_cached(ctx.p, ctx.exploratory, m_max, n)
+    return _basis_family_cached(ctx, m_max, n)
 
 
 def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:
@@ -166,18 +175,16 @@ def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:
     return basis_family(ctx, m, n)[m]
 
 
-def express_in_phi(
-    ctx: PrimeContext,
-    s: QSeries,
-    maxdeg: int,
-    *,
-    phi_series: QSeries | None = None,
-    guard: int = 8,
-):
+_PHI_GUARD = 8  # coefficients of s beyond maxdeg, which must cancel too
+
+
+def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
     """Write s as constant + polynomial in phi of degree <= maxdeg.
 
-    Succeeds only if the residual is zero to the precision of s; the first
-    surviving exponent is reported otherwise.
+    s must know maxdeg + 8 coefficients (else ``PrecisionError``); the powers
+    of phi come from the shared ``phi_powers`` table.  Succeeds only if the
+    residual is zero to the precision of s; the first surviving exponent is
+    reported otherwise.
     """
     if s.ram != 1:
         raise ValueError("express_in_phi requires an unramified series")
@@ -185,59 +192,31 @@ def express_in_phi(
         raise ValueError("express_in_phi requires valuation >= 0")
     if maxdeg < 1:
         raise ValueError("maxdeg must be positive")
-    if s.prec < maxdeg + guard:
+    if s.prec < maxdeg + _PHI_GUARD:
         raise PrecisionError(
-            f"precision {s.prec} too low for degree {maxdeg} (guard {guard})"
+            f"precision {s.prec} too low for degree {maxdeg} (guard {_PHI_GUARD})"
         )
-    if phi_series is None:
-        phi_series = phi(ctx, s.prec)
-    if phi_series.prec < s.prec:
-        raise PrecisionError("phi expansion is shorter than the target series")
     constant = s.coeff(0)
-    residual = s - constant
-    coeffs: dict[int, int | Fraction] = {}
-    power = QSeries.one(s.prec)
-    for k in range(1, maxdeg + 1):
-        power = (power * phi_series).truncate(s.prec)
-        c = residual.coeff(k)
-        if c:
-            coeffs[k] = c
-            residual = residual - c * power
+    residual, coeffs = _eliminate(
+        s - constant, phi_powers(ctx, maxdeg, s.prec), range(1, maxdeg + 1)
+    )
     if not residual.is_zero():
         bad = residual.val
         raise NotPolynomialError(
             f"not a phi-polynomial of degree <= {maxdeg}: residual at q^{bad}", bad
         )
-    return constant, PhiPolynomial(coeffs, ctx)
+    return constant, PhiPolynomial(coeffs)
 
 
-def express_in_psi(
-    ctx: PrimeContext,
-    s: QSeries,
-    maxdeg: int,
-    *,
-    psi_series: QSeries | None = None,
-    guard: int = 8,
-):
-    """Write s as constant + polynomial in psi (no constant term in the poly)."""
+def express_in_psi(ctx: PrimeContext, s: QSeries, maxdeg: int):
+    """Write s as constant + polynomial in psi (no constant term in the poly),
+    against powers of psi built to cover every coefficient of s."""
     if s.ram != 1:
         raise ValueError("express_in_psi requires an unramified series")
     if not s.is_zero() and s.val < -maxdeg:
         raise ValueError(f"valuation {s.val} below -maxdeg {-maxdeg}")
-    if psi_series is None:
-        psi_series = psi(ctx, s.prec + max(maxdeg, 1))
-    powers = [QSeries.one(psi_series.prec - psi_series.val)]
-    if maxdeg >= 1:
-        powers.append(psi_series)
-    for _ in range(2, maxdeg + 1):
-        powers.append(powers[-1] * psi_series)
-    residual = s
-    coeffs: dict[int, int | Fraction] = {}
-    for k in range(maxdeg, 0, -1):
-        c = residual.coeff(-k)
-        if c:
-            coeffs[k] = c
-            residual = residual - c * powers[k]
+    ps = psi(ctx, s.prec + max(maxdeg, 1))
+    residual, coeffs = _eliminate(s, _powers(ps, maxdeg, ps.prec), range(maxdeg, 0, -1))
     constant = residual.coeff(0) if residual.known(0) else 0
     residual = residual - constant
     if not residual.is_zero():

@@ -23,10 +23,11 @@ class UsageError(Exception):
     pass
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
+    # each subcommand offers only the formats it renders; the first is the default
     sub.add_argument("--p", type=int, default=2, help="level (2, 3, 5 or 7; 13 needs --exploratory)")
     sub.add_argument("--precision", type=int, default=None, help="series precision override")
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--output", default=None, help="output file (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--exploratory", action="store_true")
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--j", action="store_true")
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    _common_flags(pv)
+    _common_flags(pv, formats=("text", "json"))
     pv.add_argument(
         "target",
         choices=("theorem2", "lehner", "modeq", "hrelation", "powersums", "closure", "cusp"),
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--with-j", action="store_true")
 
     ps = sub.add_parser("scan", help="emit exploratory valuation data")
-    _common_flags(ps)
+    _common_flags(ps, formats=("csv", "json"))
     ps.add_argument("which", choices=("alpha-gt-beta", "phi-powers"))
     ps.add_argument("--m-max", type=int, default=8)
     ps.add_argument("--n-max", type=int, default=32)
@@ -296,7 +297,8 @@ def _verify_powersums(args, ctx):
 
 def _verify_closure(args, ctx):
     report = hecke.verify_up_closure(
-        ctx, trials=args.trials, deg_max=args.deg_max, seed=args.seed
+        ctx, trials=args.trials, deg_max=args.deg_max, seed=args.seed,
+        n=_precision(args, default=None),  # None: follows from p and deg_max
     )
     bad = [t for t in report.trials if not t.ok]
     lines = [

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import basis_family, express_in_phi
-from .eta import euler_product, phi
+from .basis import basis_family, express_in_phi, phi_powers
+from .eta import euler_product
 from .primes import PrimeContext
 from .series import QSeries, val_p
 
@@ -192,8 +192,7 @@ def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int, base_prec: int
     if not ms:
         return []
     if base_prec is None:
-        alpha_max = max(val_p(m, p) for m in ms)
-        base_prec = n_max * p**alpha_max + m_max + 16
+        base_prec = default_base_precision(ctx, m_max, 0, n_max)
     fam = basis_family(ctx, m_max, base_prec)
     rows = []
     for m in ms:
@@ -219,23 +218,17 @@ def scan_phi_powers(
     """Valuations of coefficients of U_p^beta phi^k; rows (k, beta, n, v)."""
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    p = ctx.p
     if base_prec is None:
-        base_prec = n_max * p**d_max + 16
-    ph = phi(ctx, base_prec)
+        base_prec = default_base_precision(ctx, 0, d_max, n_max)
     rows = []
-    power = QSeries.one(base_prec)
-    for k in range(0, pow_max + 1):
-        if k:
-            power = (power * ph).truncate(base_prec)
-        s = power
+    for k, s in enumerate(phi_powers(ctx, pow_max, base_prec)):
         for beta in range(0, d_max + 1):
             if beta:
-                s = s.u_op(p)
+                s = s.u_op(ctx.p)
             for n in range(1, n_max + 1):
                 if not s.known(n):
                     continue
-                rows.append((k, beta, n, val_p(s.coeff(n), p)))
+                rows.append((k, beta, n, val_p(s.coeff(n), ctx.p)))
     return rows
 
 

@@ -35,8 +35,7 @@ def euler_product(n: int) -> QSeries:
 
 
 @lru_cache(maxsize=32)
-def _psi_cached(p: int, exploratory: bool, n: int) -> QSeries:
-    ctx = PrimeContext(p, exploratory)
+def _psi_cached(ctx: PrimeContext, n: int) -> QSeries:
     t = n + 2
     e = euler_product(t)
     ep = euler_product(t // ctx.p + 1).dilate(ctx.p)
@@ -51,12 +50,11 @@ def psi(ctx: PrimeContext, n: int) -> QSeries:
     """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _psi_cached(ctx.p, ctx.exploratory, n)
+    return _psi_cached(ctx, n)
 
 
 @lru_cache(maxsize=32)
-def _phi_cached(p: int, exploratory: bool, n: int) -> QSeries:
-    ctx = PrimeContext(p, exploratory)
+def _phi_cached(ctx: PrimeContext, n: int) -> QSeries:
     out = psi(ctx, n + 2).invert().truncate(n)
     if not out.is_integral():
         raise ArithmeticError("hauptmodul inverse produced a non-integer coefficient")
@@ -67,7 +65,7 @@ def phi(ctx: PrimeContext, n: int) -> QSeries:
     """The reciprocal Hauptmodul q + O(q^2)."""
     if n < 1:
         raise ValueError("precision must be at least 1")
-    return _phi_cached(ctx.p, ctx.exploratory, n)
+    return _phi_cached(ctx, n)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,7 @@ def up_iterate(f: QSeries, ctx: PrimeContext, beta: int) -> QSeries:
 def derive_bj(ctx: PrimeContext, n: int = 128) -> ModularEquation:
     """Recover the integers b_j from U_p phi = p * sum b_j phi^j, exactly."""
     p = ctx.p
-    ph = phi(ctx, n)
-    u = ph.u_op(p)
-    constant, poly = express_in_phi(ctx, u, p, phi_series=ph)
+    constant, poly = express_in_phi(ctx, phi(ctx, n).u_op(p), p)
     if constant != 0:
         raise ArithmeticError("U_p phi unexpectedly has a constant term")
     b = []
@@ -70,9 +68,7 @@ def g_poly(eq: ModularEquation, j: int) -> PhiPolynomial:
         raise ValueError(f"j must lie in [1, {p}]")
     sign = 1 if (j + 1) % 2 == 0 else -1
     scale = sign * p ** (ctx.lam // 2 + 2)
-    return PhiPolynomial(
-        {ell - j + 1: scale * eq.b[ell - 1] for ell in range(j, p + 1)}, ctx
-    )
+    return PhiPolynomial({ell - j + 1: scale * eq.b[ell - 1] for ell in range(j, p + 1)})
 
 
 def power_sums(eq: ModularEquation, n_max: int) -> list:
@@ -84,7 +80,7 @@ def power_sums(eq: ModularEquation, n_max: int) -> list:
     g = {j: g_poly(eq, j) for j in range(1, p + 1)}
     sums = [None]  # 1-indexed
     for k in range(1, n_max + 1):
-        acc = PhiPolynomial({}, eq.ctx)
+        acc = PhiPolynomial()
         for j in range(1, min(k - 1, p) + 1):
             term = g[j] * sums[k - j]
             acc = acc + term if (j + 1) % 2 == 0 else acc - term
@@ -200,12 +196,10 @@ def verify_up_closure(
             d = [rng.randint(-9, 9) for _ in range(deg_max)]
             if any(d):
                 break
-        poly = PhiPolynomial(
-            {k: d[k - 1] * p ** ctx.gamma(k) for k in range(1, deg_max + 1)}, ctx
-        )
+        poly = PhiPolynomial({k: d[k - 1] * p ** ctx.gamma(k) for k in range(1, deg_max + 1)})
         u = poly.evaluate(ph).u_op(p)
         try:
-            constant, out = express_in_phi(ctx, u, p * deg_max, phi_series=ph)
+            constant, out = express_in_phi(ctx, u, p * deg_max)
             if constant != 0:
                 results.append(ClosureTrial(i, poly, None, False, "nonzero constant"))
                 continue

@@ -9,6 +9,7 @@ from qcong.basis import (
     basis_family,
     express_in_phi,
     express_in_psi,
+    phi_powers,
 )
 from qcong.eta import phi, psi
 from qcong.primes import PrimeContext
@@ -62,12 +63,35 @@ class TestBasisElement:
                 assert const == 0
                 assert coeffs == {k: Fraction(v) for k, v in el.psi_poly.items()}
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_duality(self, p):
+        # Faber/Zagier duality of the basis f_m = q^-m + sum a(m, n) q^n:
+        # n a(m, n) = m a(n, m) (Zagier, "Traces of singular moduli", 2002)
+        fam = basis_family(PrimeContext(p), 12, 12)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                assert n * fam[m].series.coeff(n) == m * fam[n].series.coeff(m)
+
+
+class TestPhiPowers:
+    def test_table_matches_repeated_products(self):
+        for p in (2, 7):
+            ctx = PrimeContext(p)
+            table = phi_powers(ctx, 4, 40)
+            assert len(table) == 5 and table[0] == QSeries.one(40)
+            for k in range(1, 5):
+                assert table[k] == (phi(ctx, 40) ** k).truncate(40)
+
+    def test_table_is_shared(self):
+        assert phi_powers(C2, 3, 24) is phi_powers(C2, 3, 24)
+        assert phi_powers(C2, -1, 24) == ()
+
 
 class TestExpressInPhi:
     def test_round_trip(self):
         ph = phi(C2, 32)
         s = (ph**2 + 1).truncate(30)
-        const, poly = express_in_phi(C2, s, 2, phi_series=ph)
+        const, poly = express_in_phi(C2, s, 2)
         assert const == 1
         assert poly == PhiPolynomial({2: 1})
 

@@ -226,11 +226,13 @@ class TestUsageErrors:
             "verify powersums --n-max 0",
             "verify lehner --p 5 --m 1 --n-max 0",
             "verify lehner --p 5 --m 1 --precision 8",
+            "verify closure --p 2 --precision 16",
         ],
         ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
              "tau-lower-half-plane", "d-max-negative", "theorem2-n-max-0",
              "theorem2-m-max-0", "theorem2-d-max-0", "powersums-n-max-negative",
-             "powersums-n-max-0", "lehner-n-max-0", "lehner-precision-below-minimum"],
+             "powersums-n-max-0", "lehner-n-max-0", "lehner-precision-below-minimum",
+             "closure-precision-too-low"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())
@@ -248,6 +250,41 @@ class TestUsageErrors:
         assert from_env == capture(capsys, argv + ["--precision", "16"])
         # without an override the precision follows from n_max = 32
         assert from_env != capture(capsys, argv)
+
+    def test_closure_reads_the_precision(self, capsys, monkeypatch):
+        argv = ["verify", "closure", "--p", "2", "--trials", "3"]
+        monkeypatch.setenv("QCONG_PRECISION", "16")
+        code, out, err = capture(capsys, argv)
+        assert code == 2 and out == "" and "too low for degree 8" in err
+        monkeypatch.setenv("QCONG_PRECISION", "600")
+        from_env = capture(capsys, argv)
+        monkeypatch.delenv("QCONG_PRECISION")
+        assert from_env[0] == 0
+        assert from_env == capture(capsys, argv + ["--precision", "600"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify modeq --format csv",
+            "verify closure --trials 1 --format csv",
+            "scan phi-powers --format text",
+            "scan alpha-gt-beta --format text",
+        ],
+        ids=["verify-modeq-csv", "verify-closure-csv", "scan-phi-powers-text",
+             "scan-alpha-gt-beta-text"],
+    )
+    def test_format_not_rendered_exits_2(self, capsys, argv):
+        code, out, err = capture(capsys, argv.split())
+        assert code == 2 and out == ""
+        assert "invalid choice" in err
+
+    @pytest.mark.parametrize(
+        "argv, default_format",
+        [("verify modeq --p 3", "text"), ("scan phi-powers --p 3 --n-max 8", "csv")],
+    )
+    def test_default_format_is_the_first_rendered(self, capsys, argv, default_format):
+        argv = argv.split()
+        assert capture(capsys, argv) == capture(capsys, argv + ["--format", default_format])
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "psi.txt"

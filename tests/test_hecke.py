@@ -204,14 +204,14 @@ class TestClosure:
     def test_u2_phi_gains_delta(self):
         ctx = PrimeContext(2)
         eq = derive_bj(ctx, 128)
-        poly = PhiPolynomial({j: eq.b[j - 1] * 2 for j in range(1, 3)}, ctx)
+        poly = PhiPolynomial({j: eq.b[j - 1] * 2 for j in range(1, 3)})
         rep = rp_report(ctx, poly)  # U_2 phi = 2 * sum b_j phi^j
         assert rep.t >= ctx.delta
 
     def test_u5_phi_gains_delta(self):
         ctx = PrimeContext(5)
         eq = derive_bj(ctx, 128)
-        poly = PhiPolynomial({j: eq.b[j - 1] * 5 for j in range(1, 6)}, ctx)
+        poly = PhiPolynomial({j: eq.b[j - 1] * 5 for j in range(1, 6)})
         assert rp_report(ctx, poly).t >= 1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
