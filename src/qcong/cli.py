@@ -104,6 +104,12 @@ def _precision(args, minimum: int = 16, default: int | None = 256) -> int | None
     return prec
 
 
+def _no_precision(args, name: str) -> None:
+    # the command chooses its own precision; an override would be silently ignored
+    if args.precision is not None:
+        raise UsageError(f"--precision has no effect on {name}")
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         try:
@@ -277,6 +283,7 @@ def _verify_hrelation(args, ctx):
 
 
 def _verify_powersums(args, ctx):
+    _no_precision(args, "verify powersums")
     n_max = 2 * ctx.p if args.n_max is None else args.n_max
     report = hecke.verify_power_sum_divisibility(ctx, n_max)
     lines = [f"powersums p={ctx.p} n<={n_max}"]
@@ -313,6 +320,7 @@ def _verify_closure(args, ctx):
 
 
 def _verify_cusp(args, ctx):
+    _no_precision(args, "verify cusp")
     tau = parse_tau(args.tau)
     residual = eta.check_cusp_relation(ctx, tau)
     ok = residual < args.tol
@@ -367,6 +375,7 @@ def _cmd_table(args) -> int:
             _emit(args, "\n".join(lines) + "\n")
         return 0
 
+    _no_precision(args, "table valuations")
     ms = _parse_int_list(args.rows, "rows")
     ns = _parse_int_list(args.cols, "cols")
     if not ms or not ns:
@@ -402,6 +411,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_scan(args) -> int:
     ctx = _context(args)
+    _no_precision(args, f"scan {args.which}")
     if args.which == "alpha-gt-beta":
         rows = congruence.scan_alpha_gt_beta(ctx, args.m_max, args.n_max)
         header = ("m", "beta", "n", f"v_{ctx.p}")

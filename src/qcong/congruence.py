@@ -166,6 +166,8 @@ class ValuationTable:
 def valuation_table(ctx: PrimeContext, ms, ns, include_j: bool = False) -> ValuationTable:
     ms = list(ms)
     ns = list(ns)
+    if any(m < 0 for m in ms):
+        raise ValueError("pole orders must be nonnegative")
     prec = max(ns)
     fam = basis_family(ctx, max(ms), prec)
     rows = []

@@ -15,13 +15,12 @@ Multiplication clears denominators and runs an integer convolution, by one
 of three methods chosen from the operand sizes:
 
 - schoolbook, for short products;
-- binary Kronecker substitution: pack the coefficients into byte limbs of one
-  big integer, multiply, unpack.  gmpy2 does the multiply when it is
-  installed; otherwise CPython's Karatsuba does;
-- decimal Kronecker substitution, without gmpy2 and once the packed operand
-  is large: limbs of 10^k packed into ``decimal.Decimal`` values, whose
-  multiply (libmpdec) is a number-theoretic transform, O(n log n) against
-  Karatsuba's O(n^1.58).
+- binary Kronecker substitution, for longer products of moderate size: pack
+  the coefficients into byte limbs of one big integer, multiply (CPython's
+  Karatsuba), unpack;
+- decimal Kronecker substitution, once the packed operand is large: limbs of
+  10^k packed into ``decimal.Decimal`` values, whose multiply (libmpdec) is a
+  number-theoretic transform, O(n log n) against Karatsuba's O(n^1.58).
 """
 from __future__ import annotations
 
@@ -29,11 +28,6 @@ import decimal
 import math
 import sys
 from fractions import Fraction
-
-try:
-    import gmpy2
-except ImportError:  # pragma: no cover - gmpy2 is an accelerator only
-    gmpy2 = None
 
 # int <-> str conversions raise beyond this many digits (0: no limit); the
 # function exists from Python 3.10.7 on
@@ -51,8 +45,6 @@ class PrecisionError(ValueError):
 def _val_p_int(n: int, p: int):
     if n == 0:
         return math.inf
-    if gmpy2 is not None:
-        return int(gmpy2.remove(gmpy2.mpz(n), p)[1])
     v = 0
     while n % p == 0:
         n //= p
@@ -94,12 +86,7 @@ def _binary_kronecker(a, b, bits):
             off_limb * len(coeffs), "little"
         )
 
-    va = pack(a)
-    vb = pack(b)
-    if gmpy2 is not None:
-        prod = int(gmpy2.mpz(va) * gmpy2.mpz(vb))
-    else:
-        prod = va * vb
+    prod = pack(a) * pack(b)
     shifted = prod + int.from_bytes(off_limb * m, "little")
     raw = shifted.to_bytes(m * nbytes, "little")
     return [
@@ -177,8 +164,7 @@ def _kronecker_mul(a, b):
     n = min(len(a), len(b))
     # every product coefficient c has 4|c| < 2^bits
     bits = ma.bit_length() + mb.bit_length() + n.bit_length() + 2
-    # GMP outruns libmpdec, so the decimal radix serves only without gmpy2
-    if gmpy2 is None and n * bits >= _DECIMAL_CUTOFF:
+    if n * bits >= _DECIMAL_CUTOFF:
         digits = bits * 30103 // 100000 + 1  # 10^digits > 2^bits
         limit = _int_max_str_digits()
         if not limit or digits <= limit:

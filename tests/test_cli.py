@@ -227,12 +227,19 @@ class TestUsageErrors:
             "verify lehner --p 5 --m 1 --n-max 0",
             "verify lehner --p 5 --m 1 --precision 8",
             "verify closure --p 2 --precision 16",
+            "table valuations --p 2 --rows 3,-1 --cols 1,2,3",
+            "scan phi-powers --p 3 --precision 17",
+            "table valuations --p 2 --rows 1 --cols 2 --precision 17",
+            "verify cusp --p 3 --precision 17",
+            "verify powersums --p 2 --precision 17",
         ],
         ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
              "tau-lower-half-plane", "d-max-negative", "theorem2-n-max-0",
              "theorem2-m-max-0", "theorem2-d-max-0", "powersums-n-max-negative",
              "powersums-n-max-0", "lehner-n-max-0", "lehner-precision-below-minimum",
-             "closure-precision-too-low"],
+             "closure-precision-too-low", "valuations-negative-row",
+             "scan-precision-ignored", "valuations-precision-ignored",
+             "cusp-precision-ignored", "powersums-precision-ignored"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())

@@ -133,6 +133,14 @@ class TestValuationTable:
         assert table.row_labels == (1, 2, "min")
         assert len(table.rows) == 3
 
+    def test_rejects_negative_pole_order(self):
+        # fam[-1] would silently read the last basis element
+        with pytest.raises(ValueError, match="nonnegative"):
+            valuation_table(PrimeContext(2), [3, -1], [1, 2, 3])
+        # the constant f_0 = 1 stays a valid row
+        table = valuation_table(PrimeContext(2), [0, 1], [1, 2])
+        assert table.rows[0] == (math.inf, math.inf)
+
 
 class TestScans:
     def test_alpha_scan_deterministic(self):

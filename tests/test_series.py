@@ -11,8 +11,10 @@ from qcong.congruence import j_series
 from qcong.eta import euler_product, phi, psi
 from qcong.hecke import derive_bj
 from qcong.primes import PrimeContext
+import qcong.series
 from qcong.series import (
     _DECIMAL_CUTOFF,
+    _SCHOOL_CUTOFF,
     NotInvertibleError,
     PrecisionError,
     QSeries,
@@ -171,6 +173,44 @@ class TestKroneckerKernel:
             assert _decimal_kronecker(a, b, _limb_digits(a, b)) == ref
             assert mul_int_lists(a, b) == ref
 
+    def test_operand_sizes_alone_choose_the_method(self, monkeypatch):
+        calls = []
+        for name in ("_school_mul", "_binary_kronecker", "_decimal_kronecker"):
+            method = getattr(qcong.series, name)
+
+            def spy(*args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(qcong.series, name, spy)
+
+        rng = random.Random(16)
+        n = 100  # n * n > _SCHOOL_CUTOFF
+        # the kernel's limb is bit_length(max|a|) + bit_length(max|b|) + bit_length(n) + 2 bits
+        at_cutoff = -(-_DECIMAL_CUTOFF // n)
+
+        def operands(limb_bits):
+            bits_a = (limb_bits - n.bit_length() - 2) // 2
+            bits_b = limb_bits - n.bit_length() - 2 - bits_a
+            a = [rng.randint(-(2**bits_a) + 1, 2**bits_a - 1) for _ in range(n)]
+            b = [rng.randint(-(2**bits_b) + 1, 2**bits_b - 1) for _ in range(n)]
+            a[0], b[0] = 2**bits_a - 1, -(2**bits_b) + 1
+            return a, b
+
+        side = math.isqrt(_SCHOOL_CUTOFF)
+        short = [rng.randint(-9, 9) for _ in range(side)]
+        cases = [
+            ((short, short[::-1]), "_school_mul"),
+            (operands(at_cutoff - 1), "_binary_kronecker"),
+            (operands(at_cutoff), "_decimal_kronecker"),
+        ]
+        assert n * (at_cutoff - 1) < _DECIMAL_CUTOFF <= n * at_cutoff
+        for (a, b), method in cases:
+            calls.clear()
+            product = mul_int_lists(a, b)
+            assert calls == [method]
+            assert product == _school_mul(a, b)
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
     )
@@ -292,6 +332,8 @@ class TestValP:
     def test_powers_of_two(self):
         assert val_p(-2048, 2) == 11
         assert val_p(10745856, 2) == 11
+        big = 2**41 * 11**900  # about 3,150 bits
+        assert val_p(big, 2) == val_p(-big, 2) == val_p(Fraction(-big, 3**500), 2) == 41
 
     def test_zero_is_infinite(self):
         for p in (2, 3, 5, 7):
