@@ -1,8 +1,9 @@
 """The canonical pole-order basis and polynomial extraction in psi / phi.
 
-Basis elements q^{-m} + O(1) are built by greedy elimination of the principal
-part of psi^m: psi^k has exact valuation -k, so the reduction is triangular
-and never needs a linear solve.
+Basis elements q^{-m} + O(1) are built by the Faber recurrence: the principal
+part of psi * f_m is cleared greedily against f_m, ..., f_1, each of which has
+the single pole term q^{-k}, so the reduction is triangular and never needs a
+linear solve.  The family and the powers of phi are tables grown on demand.
 """
 from __future__ import annotations
 
@@ -97,14 +98,24 @@ class PhiPolynomial:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def evaluate(self, series: QSeries) -> QSeries:
-        """Horner evaluation on a q-series."""
-        if not self.coeffs:
-            return QSeries.zero(series.prec, series.ram)
-        acc = QSeries.zero(series.prec - series.val, series.ram)
-        for k in range(self.degree, -1, -1):
-            acc = acc * series + self.coeffs.get(k, 0)
-        return acc
+    def evaluate(self, ctx: PrimeContext, n: int) -> QSeries:
+        """The series sum c_k phi^k for phi known to precision n, read from the
+        shared ``phi_powers`` table.  Its precision is the one the terms
+        determine: n + j when phi^(j+1) is the lowest non-constant power
+        present, n for a constant.  The non-constant part is phi^j times a
+        sum read from the table, so no table beyond precision n is built."""
+        j = min((k for k in self.coeffs if k), default=1) - 1
+        powers = phi_powers(ctx, self.degree - j, n) if self.degree else ()
+        out = [0] * (n + 1)
+        for k, c in self.coeffs.items():
+            if k:
+                t = powers[k - j]
+                for i, x in enumerate(t.coeffs, start=t.val):
+                    out[i] += c * x
+        s = QSeries(out, 0, n)
+        if j:
+            s = s * phi(ctx, n) ** j
+        return s + self.constant
 
 
 @dataclass(frozen=True)
@@ -117,18 +128,30 @@ class BasisElement:
     psi_poly: dict = field(default_factory=dict)  # degree -> int, monic, no constant
 
 
-def _powers(t: QSeries, k: int, prec: int) -> tuple:
-    """t^0 .. t^k of a Hauptmodul t, each truncated at precision prec."""
-    powers = [QSeries.one(prec), t.truncate(prec)]
+def _grow(powers: list, t: QSeries, k: int, prec: int) -> list:
+    """Extend powers = [t^0, t^1, ...] in place up to t^k, each truncated at
+    precision prec."""
     while len(powers) <= k:
         powers.append((powers[-1] * t).truncate(prec))
-    return tuple(powers[: k + 1])
+    return powers
+
+
+def _powers(t: QSeries, k: int, prec: int) -> tuple:
+    """t^0 .. t^k of a Hauptmodul t, each truncated at precision prec."""
+    return tuple(_grow([QSeries.one(prec), t.truncate(prec)], t, k, prec)[: k + 1])
+
+
+@lru_cache(maxsize=16)
+def _phi_table(ctx: PrimeContext, n: int) -> list:
+    """phi^0, phi^1, ... at precision n, grown in degree by ``phi_powers``."""
+    return [QSeries.one(n), phi(ctx, n)]
 
 
 @lru_cache(maxsize=32)
 def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
     """phi^0 .. phi^k, each truncated at precision n."""
-    return _powers(phi(ctx, n), k, n)
+    table = _phi_table(ctx, n)
+    return tuple(_grow(table, table[1], k, n)[: k + 1])
 
 
 def _eliminate(s: QSeries, powers, degrees):
@@ -145,29 +168,47 @@ def _eliminate(s: QSeries, powers, degrees):
 
 
 @lru_cache(maxsize=8)
-def _basis_family_cached(ctx: PrimeContext, m_max: int, n: int):
-    elements = [BasisElement(ctx, 0, QSeries.one(n), {})]
-    if m_max == 0:
-        return tuple(elements)
-    ps = psi(ctx, n + m_max - 1)
-    powers = _powers(ps, m_max, ps.prec)
-    for m in range(1, m_max + 1):
-        r, coeffs = _eliminate(powers[m], powers, range(m - 1, 0, -1))
-        if r.coeff(-m) != 1 or any(r.coeff(-k) != 0 for k in range(1, m)):
+def _family_table(ctx: PrimeContext, prec: int) -> list:
+    """Basis elements f_0, f_1, ... from psi at precision prec (f_m known to
+    prec - m + 1), grown in pole order by ``basis_family``."""
+    return [
+        BasisElement(ctx, 0, QSeries.one(prec), {}),
+        BasisElement(ctx, 1, psi(ctx, prec), {1: 1}),
+    ]
+
+
+def _grow_family(table: list, m_max: int) -> None:
+    # Faber recurrence: psi * f_m = q^-(m+1) + sum_{k<=m} c_k q^-k + O(1), so
+    # f_{m+1} = psi * f_m - sum c_k f_k; f_k is monic with no other pole term
+    ctx, ps = table[1].ctx, table[1].series
+    series = [e.series for e in table]
+    while len(table) <= m_max:
+        m = len(table) - 1
+        r, coeffs = _eliminate(ps * series[m], series, range(m, 0, -1))
+        if r.coeff(-m - 1) != 1 or any(r.coeff(-k) != 0 for k in range(1, m + 1)):
             raise ArithmeticError("basis reduction failed to normalize the principal part")
-        # psi^m - sum c_k psi^k is integral only if every c_k is (psi is monic)
+        # psi, f_k and so each c_k are integral; this guards the arithmetic
         if not r.is_integral():
             raise ArithmeticError("basis element has a non-integer coefficient")
-        poly = {m: 1} | {k: -c for k, c in coeffs.items()}
-        elements.append(BasisElement(ctx, m, r, poly))
-    return tuple(elements)
+        poly = {k + 1: c for k, c in table[m].psi_poly.items()}
+        for k, c in coeffs.items():
+            for d, e in table[k].psi_poly.items():
+                poly[d] = poly.get(d, 0) - c * e
+        table.append(BasisElement(ctx, m + 1, r, {d: e for d, e in poly.items() if e}))
+        series.append(r)
 
 
 def basis_family(ctx: PrimeContext, m_max: int, n: int):
-    """Basis elements for pole orders 0..m_max, sharing one psi expansion."""
+    """Basis elements for pole orders 0..m_max, f_m known to n + m_max - m,
+    read from the family grown on psi at precision n + m_max - 1."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    return _basis_family_cached(ctx, m_max, n)
+    one = (BasisElement(ctx, 0, QSeries.one(n), {}),)
+    if m_max == 0:
+        return one
+    table = _family_table(ctx, n + m_max - 1)
+    _grow_family(table, m_max)
+    return one + tuple(table[1 : m_max + 1])
 
 
 def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:

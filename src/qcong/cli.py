@@ -380,6 +380,8 @@ def _cmd_table(args) -> int:
     ns = _parse_int_list(args.cols, "cols")
     if not ms or not ns:
         raise UsageError("rows and cols must be nonempty")
+    if min(ns) < 0:
+        raise UsageError(f"--cols takes coefficient indices n >= 0, got {min(ns)}")
     table = congruence.valuation_table(ctx, ms, ns, include_j=args.with_j)
     if args.format == "json":
         payload = {

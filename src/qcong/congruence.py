@@ -189,6 +189,11 @@ def valuation_table(ctx: PrimeContext, ms, ns, include_j: bool = False) -> Valua
 
 def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int, base_prec: int | None = None):
     """Valuations v_p(a(m, p^beta n)) for beta up to v_p(m); rows (m, beta, n, v)."""
+    # a range with no (m, n) at all would read as an empty result
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     p = ctx.p
     ms = [m for m in range(1, m_max + 1) if m % p == 0]
     if not ms:
@@ -218,8 +223,12 @@ def scan_phi_powers(
     base_prec: int | None = None,
 ):
     """Valuations of coefficients of U_p^beta phi^k; rows (k, beta, n, v)."""
+    if pow_max < 0:
+        raise ValueError("pow_max must be nonnegative")
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if base_prec is None:
         base_prec = default_base_precision(ctx, 0, d_max, n_max)
     rows = []
@@ -258,7 +267,9 @@ def decompose_up_step(ctx: PrimeContext, m: int, base_prec: int | None = None) -
     p = ctx.p
     if base_prec is None:
         base_prec = max(256, p * (m + 24))
-    fam = basis_family(ctx, m, base_prec)
+    # psi at precision base_prec whatever m is, so that the pole orders share
+    # one growing family; f_m is known to base_prec - m + 1
+    fam = basis_family(ctx, m, base_prec - m + 1)
     s = fam[m].series.u_op(p)
     lower = None
     if m % p == 0:

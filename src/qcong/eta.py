@@ -46,11 +46,19 @@ def _psi_cached(ctx: PrimeContext, n: int) -> QSeries:
     return out
 
 
+_psi_top: dict = {}  # ctx -> longest expansion asked for so far
+
+
 def psi(ctx: PrimeContext, n: int) -> QSeries:
-    """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam."""
+    """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam.
+
+    A shorter expansion is the truncation of a longer one, so every request
+    is served from the longest expansion asked for so far at this level.
+    """
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _psi_cached(ctx, n)
+    top = _psi_top[ctx] = max(n, _psi_top.get(ctx, n))
+    return _psi_cached(ctx, top).truncate(n)
 
 
 @lru_cache(maxsize=32)

@@ -149,10 +149,13 @@ def verify_hpoly_relation(ctx: PrimeContext, n: int = 128) -> QSeries:
     eq = derive_bj(ctx, max(n, 128))
     # phi(tau/p) is the same coefficient run read in w = q^{1/p}
     h = QSeries(list(ph.coeffs), ph.val, ph.prec, ram=p) * p ** (ctx.lam // 2)
-    lhs = h**p
+    hs = [h**0, h]  # h^0 .. h^p
+    while len(hs) <= p:
+        hs.append(hs[-1] * h)
+    lhs = hs[p]
     for j in range(1, p + 1):
-        gw = g_poly(eq, j).evaluate(ph).ramify(p)
-        term = gw * h ** (p - j)
+        gw = g_poly(eq, j).evaluate(ctx, n).ramify(p)
+        term = gw * hs[p - j]
         lhs = lhs + term if j % 2 == 0 else lhs - term
     return lhs
 
@@ -188,7 +191,6 @@ def verify_up_closure(
     p = ctx.p
     if n is None:
         n = max(256, p * (p * deg_max + 16))
-    ph = phi(ctx, n)
     results = []
     for i in range(trials):
         rng = random.Random(seed * 1000003 + i)  # split per trial for determinism
@@ -197,7 +199,7 @@ def verify_up_closure(
             if any(d):
                 break
         poly = PhiPolynomial({k: d[k - 1] * p ** ctx.gamma(k) for k in range(1, deg_max + 1)})
-        u = poly.evaluate(ph).u_op(p)
+        u = poly.evaluate(ctx, n).u_op(p)
         try:
             constant, out = express_in_phi(ctx, u, p * deg_max)
             if constant != 0:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from qcong.basis import (
     NotPolynomialError,
     PhiPolynomial,
+    _eliminate,
+    _powers,
     basis_element,
     basis_family,
     express_in_phi,
@@ -71,6 +74,38 @@ class TestBasisElement:
         for m in range(1, 13):
             for n in range(1, 13):
                 assert n * fam[m].series.coeff(n) == m * fam[n].series.coeff(m)
+
+
+def reference_family(ctx, m_max, n):
+    """Basis elements by elimination against the powers psi^1 .. psi^m_max."""
+    ps = psi(ctx, n + m_max - 1)
+    powers = _powers(ps, m_max, ps.prec)
+    out = [(QSeries.one(n), {})]
+    for m in range(1, m_max + 1):
+        r, coeffs = _eliminate(powers[m], powers, range(m - 1, 0, -1))
+        out.append((r, {m: 1} | {k: -c for k, c in coeffs.items()}))
+    return out
+
+
+class TestFaberRecurrence:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_elimination_against_psi_powers(self, p):
+        ctx = PrimeContext(p)
+        for m_max, n in ((12, 40), (5, 17), (1, 30)):
+            fam = basis_family(ctx, m_max, n)
+            assert len(fam) == m_max + 1
+            for m, (series, poly) in enumerate(reference_family(ctx, m_max, n)):
+                assert fam[m].m == m
+                assert fam[m].series == series  # val, prec and coefficients
+                assert fam[m].series.prec == (n if m == 0 else n + m_max - m)
+                assert fam[m].psi_poly == poly
+
+    def test_shorter_family_reads_the_grown_table(self):
+        # same psi precision n + m_max - 1: the second call only extends
+        small = basis_family(C2, 3, 30)
+        large = basis_family(C2, 6, 27)
+        assert large[1:4] == small[1:4]
+        assert all(a is b for a, b in zip(large[1:4], small[1:4]))
 
 
 class TestPhiPowers:
@@ -141,11 +176,36 @@ class TestPhiPolynomial:
         assert a.degree == 2
         assert a.constant == 0
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_evaluate_matches_horner(self, p):
+        def horner(poly, series):
+            if not poly.coeffs:
+                return QSeries.zero(series.prec)
+            acc = QSeries.zero(series.prec - series.val)
+            for k in range(poly.degree, -1, -1):
+                acc = acc * series + poly[k]
+            return acc
+
+        ctx = PrimeContext(p)
+        rng = random.Random(p)
+        polys = [PhiPolynomial(), PhiPolynomial({0: 5}), PhiPolynomial({3: -2})]
+        for _ in range(40):
+            deg = rng.randint(1, 8)
+            coeffs = {k: rng.choice([0, 0, rng.randint(-50, 50), Fraction(rng.randint(-9, 9), 7)])
+                      for k in range(1, deg + 1)}
+            polys.append(PhiPolynomial(coeffs))
+            polys.append(PhiPolynomial(coeffs | {0: rng.randint(1, 99)}))
+        for n in (24, 37):
+            ph = phi(ctx, n)
+            for poly in polys:
+                got, want = poly.evaluate(ctx, n), horner(poly, ph)
+                assert (got.val, got.prec, got.coeffs) == (want.val, want.prec, want.coeffs)
+
     def test_evaluate_matches_manual(self):
         ph = phi(C2, 20)
         poly = PhiPolynomial({1: 3, 2: -1})
         direct = 3 * ph - ph * ph
-        val = poly.evaluate(ph)
+        val = poly.evaluate(C2, 20)
         assert all(
             val.coeff(n) == direct.coeff(n) for n in range(1, min(val.prec, direct.prec) + 1)
         )

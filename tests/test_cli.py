@@ -232,6 +232,11 @@ class TestUsageErrors:
             "table valuations --p 2 --rows 1 --cols 2 --precision 17",
             "verify cusp --p 3 --precision 17",
             "verify powersums --p 2 --precision 17",
+            "scan alpha-gt-beta --m-max -1",
+            "scan alpha-gt-beta --n-max 0",
+            "scan phi-powers --n-max 0",
+            "scan phi-powers --pow-max -1",
+            "table valuations --p 2 --rows 1 --cols 2,-3",
         ],
         ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
              "tau-lower-half-plane", "d-max-negative", "theorem2-n-max-0",
@@ -239,12 +244,19 @@ class TestUsageErrors:
              "powersums-n-max-0", "lehner-n-max-0", "lehner-precision-below-minimum",
              "closure-precision-too-low", "valuations-negative-row",
              "scan-precision-ignored", "valuations-precision-ignored",
-             "cusp-precision-ignored", "powersums-precision-ignored"],
+             "cusp-precision-ignored", "powersums-precision-ignored",
+             "alpha-scan-m-max-negative", "alpha-scan-n-max-0", "phi-scan-n-max-0",
+             "phi-scan-pow-max-negative", "valuations-negative-col"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_column_names_the_flag(self, capsys):
+        code, out, err = capture(capsys, "table valuations --cols -3".split())
+        assert code == 2 and out == ""
+        assert err == "error: --cols takes coefficient indices n >= 0, got -3\n"
 
     def test_lehner_reads_the_precision_env(self, capsys, monkeypatch):
         argv = ["verify", "lehner", "--p", "5", "--m", "1"]

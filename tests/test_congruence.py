@@ -14,6 +14,7 @@ from qcong.congruence import (
     valuation_table,
     verify_theorem2,
 )
+from qcong import basis, eta
 from qcong.hecke import up_iterate
 from qcong.basis import basis_element
 from qcong.primes import PrimeContext
@@ -179,6 +180,19 @@ class TestDecomposeUpStep:
     def test_floors_hold_for_small_orders(self, p):
         for m in range(1, 7):
             assert decompose_up_step(PrimeContext(p), m).ok
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_pole_orders_share_one_psi_expansion(self, p):
+        # from cold caches, m = 1..6 grow one family on one psi; the phi
+        # tables of express_in_phi truncate that same expansion
+        eta._psi_top.clear()
+        for cached in (eta._psi_cached, eta._phi_cached, basis._family_table,
+                       basis._phi_table, basis.phi_powers):
+            cached.cache_clear()
+        for m in range(1, 7):
+            decompose_up_step(PrimeContext(p), m)
+        assert eta._psi_cached.cache_info().misses == 1
+        assert basis._family_table.cache_info().misses == 1
 
 
 def test_default_base_precision_scales_with_depth():

@@ -136,7 +136,7 @@ class TestPowerSums:
         ctx = PrimeContext(p)
         ph = phi(ctx, 16 * p)
         for n, s in enumerate(power_sums(derive_bj(ctx), p + 1), start=1):
-            assert agree((ph**n).u_op(p) * p ** (ctx.lam * n // 2 + 1), s.evaluate(ph))
+            assert agree((ph**n).u_op(p) * p ** (ctx.lam * n // 2 + 1), s.evaluate(ctx, 16 * p))
 
     def test_rejects_empty_range(self):
         ctx = PrimeContext(3)
@@ -196,7 +196,7 @@ class TestHPolyRelation:
         ph = phi(ctx, 64)
         h = QSeries(list(ph.coeffs), ph.val, ph.prec, ram=2) * 2**12
         assert (h * h).coeff(2) == 2**24
-        gw = g_poly(derive_bj(ctx), 2).evaluate(ph).ramify(2)
+        gw = g_poly(derive_bj(ctx), 2).evaluate(ctx, 64).ramify(2)
         assert gw.coeff(2) == -(2**24)
 
 
