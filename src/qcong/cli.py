@@ -1,7 +1,14 @@
 """Batch command-line front end.
 
+Every leaf command (``expand``, ``verify theorem2|lehner|modeq|hrelation|
+powersums|closure|cusp``, ``table valuations|bj``, ``scan alpha-gt-beta|
+phi-powers``) has its own parser.  It accepts ``--p``, ``--format`` (the
+formats it renders; the first is the default) and ``--output``, plus exactly
+the flags it reads.  Flags follow the full command, and abbreviated flags are
+not accepted: anything else is a usage error.
+
 Exit codes: 0 = all checks passed, 1 = a verification found a counterexample,
-2 = usage or configuration error, 3 = internal error.
+2 = usage or configuration error (one ``error:`` line), 3 = internal error.
 """
 from __future__ import annotations
 
@@ -16,33 +23,49 @@ from fractions import Fraction
 from . import congruence, eta, hecke
 from .basis import basis_element
 from .congruence import j_series
-from .primes import GENUS_ZERO_PRIMES, PrimeContext
+from .primes import PrimeContext
 
 
 class UsageError(Exception):
     pass
 
 
-def _common_flags(sub: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
-    # each subcommand offers only the formats it renders; the first is the default
-    sub.add_argument("--p", type=int, default=2, help="level (2, 3, 5 or 7; 13 needs --exploratory)")
-    sub.add_argument("--precision", type=int, default=None, help="series precision override")
-    sub.add_argument("--format", choices=formats, default=formats[0])
-    sub.add_argument("--output", default=None, help="output file (default stdout)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--exploratory", action="store_true")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # reported like every other usage error: one "error:" line, exit 2
+        raise UsageError(message)
+
+
+def _leaf(sub, name: str, handler, formats, **flags) -> argparse.ArgumentParser:
+    """A leaf command that renders ``formats`` and reads ``flags``.
+
+    Each flag is given by its default: ``False`` makes a switch, ``None`` an
+    int flag without a default, and any other value a flag of its type.
+    """
+    leaf = sub.add_parser(name, allow_abbrev=False)
+    leaf.add_argument("--p", type=int, default=2, help="level (2, 3, 5 or 7)")
+    leaf.add_argument("--format", choices=formats, default=formats[0])
+    leaf.add_argument("--output", default=None, help="output file (default stdout)")
+    for flag, default in flags.items():
+        opt = "--" + flag.replace("_", "-")
+        if default is False:
+            leaf.add_argument(opt, action="store_true")
+        else:
+            leaf.add_argument(opt, type=int if default is None else type(default), default=default)
+    leaf.set_defaults(handler=handler, exploratory=False)
+    return leaf
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcong",
         description="Exact q-expansions of level-p Hauptmoduln and mechanical "
         "verification of their coefficient divisibility properties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every, text_json, csv_json = ("text", "json", "csv"), ("text", "json"), ("csv", "json")
 
-    pe = sub.add_parser("expand", help="print a q-expansion")
-    _common_flags(pe)
+    pe = _leaf(sub, "expand", _expand, every, precision=None, exploratory=False)
     group = pe.add_mutually_exclusive_group(required=True)
     group.add_argument("--psi", action="store_true")
     group.add_argument("--phi", action="store_true")
@@ -50,47 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--j", action="store_true")
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    _common_flags(pv, formats=("text", "json"))
-    pv.add_argument(
-        "target",
-        choices=("theorem2", "lehner", "modeq", "hrelation", "powersums", "closure", "cusp"),
-    )
-    pv.add_argument("--m", type=int, default=1, help="pole order (lehner)")
-    pv.add_argument("--m-max", type=int, default=6)
-    pv.add_argument("--d-max", type=int, default=2)
-    pv.add_argument("--n-max", type=int, default=None)
-    pv.add_argument("--trials", type=int, default=100)
-    pv.add_argument("--deg-max", type=int, default=4)
-    pv.add_argument("--tau", default="0+1i")
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv = pv.add_subparsers(dest="target", required=True)
+    _leaf(pv, "theorem2", _theorem2, text_json, m_max=6, d_max=2, n_max=None, precision=None)
+    _leaf(pv, "lehner", _lehner, text_json, m=1, d_max=2, n_max=None, precision=None)
+    _leaf(pv, "modeq", _modeq, text_json, precision=None)
+    _leaf(pv, "hrelation", _hrelation, text_json, precision=None)
+    _leaf(pv, "powersums", _powersums, text_json, n_max=None)
+    _leaf(pv, "closure", _closure, text_json, trials=100, deg_max=4, seed=0, precision=None)
+    _leaf(pv, "cusp", _cusp, text_json, tau="0+1i", tol=1e-8)
 
-    pt = sub.add_parser("table", help="render a table")
-    _common_flags(pt)
-    pt.add_argument("which", choices=("valuations", "bj"))
-    pt.add_argument("--rows", default="1,3,5,7")
-    pt.add_argument("--cols", default="2,4,6,8,10,12")
-    pt.add_argument("--with-j", action="store_true")
+    pt = sub.add_parser("table", help="render a table").add_subparsers(dest="which", required=True)
+    _leaf(pt, "valuations", _valuations, every, rows="1,3,5,7", cols="2,4,6,8,10,12", with_j=False)
+    _leaf(pt, "bj", _bj, every, precision=None)
 
     ps = sub.add_parser("scan", help="emit exploratory valuation data")
-    _common_flags(ps, formats=("csv", "json"))
-    ps.add_argument("which", choices=("alpha-gt-beta", "phi-powers"))
-    ps.add_argument("--m-max", type=int, default=8)
-    ps.add_argument("--n-max", type=int, default=32)
-    ps.add_argument("--pow-max", type=int, default=3)
-    ps.add_argument("--d-max", type=int, default=2)
-
+    ps = ps.add_subparsers(dest="which", required=True)
+    _leaf(ps, "alpha-gt-beta", _alpha_scan, csv_json, m_max=8, n_max=32)
+    _leaf(ps, "phi-powers", _phi_scan, csv_json, pow_max=3, d_max=2, n_max=32)
     return parser
-
-
-def _context(args) -> PrimeContext:
-    p = args.p
-    if p in GENUS_ZERO_PRIMES:
-        return PrimeContext(p)
-    if p == 13 and args.exploratory:
-        if args.command != "expand":
-            raise UsageError("p=13 is exploratory: only 'expand' is supported")
-        return PrimeContext(13, exploratory=True)
-    raise UsageError(f"unsupported level p={p} (13 requires --exploratory)")
 
 
 def _precision(args, minimum: int = 16, default: int | None = 256) -> int | None:
@@ -104,35 +104,28 @@ def _precision(args, minimum: int = 16, default: int | None = 256) -> int | None
     return prec
 
 
-def _no_precision(args, name: str) -> None:
-    # the command chooses its own precision; an override would be silently ignored
-    if args.precision is not None:
-        raise UsageError(f"--precision has no effect on {name}")
-
-
-def _emit(args, text: str) -> None:
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _csv_quote(s: str) -> str:
     if any(ch in s for ch in ',"\n'):
         return '"' + s.replace('"', '""') + '"'
     return s
 
 
-def _csv_line(fields) -> str:
-    return ",".join(_csv_quote(str(f)) for f in fields) + "\r\n"
+def _render(args, payload: dict, csv_rows, lines) -> None:
+    """Write ``payload`` as JSON, ``csv_rows`` as CSV or ``lines`` as text."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        text = "".join(",".join(_csv_quote(str(f)) for f in row) + "\r\n" for row in csv_rows)
+    else:
+        text = "\n".join(lines) + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
 def _fmt_val(v) -> str:
@@ -177,11 +170,11 @@ def parse_tau(text: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# leaf commands: each returns (JSON payload, CSV rows, text lines); a payload
+# with "ok": False exits 1
 
 
-def _cmd_expand(args) -> int:
-    ctx = _context(args)
+def _expand(args, ctx):
     prec = _precision(args, minimum=0)
     if args.psi:
         name, series = "psi", eta.psi(ctx, prec)
@@ -195,24 +188,17 @@ def _cmd_expand(args) -> int:
             raise UsageError("basis pole order must be nonnegative")
         name, series = f"basis-{m}", basis_element(ctx, m, prec).series
     pairs = [(n, series.coeff(n)) for n in range(series.val, series.prec + 1)]
-    if args.format == "json":
-        payload = {
-            "p": ctx.p,
-            "object": name,
-            "valuation": series.val,
-            "coefficients": [[str(n), str(c)] for n, c in pairs],
-        }
-        _emit(args, _json_dump(payload))
-    elif args.format == "csv":
-        out = [_csv_line(("exponent", "coefficient"))]
-        out += [_csv_line((n, c)) for n, c in pairs]
-        _emit(args, "".join(out))
-    else:
-        _emit(args, f"p={ctx.p} {name}: {series.pretty(max_terms=series.prec - series.val + 1)}\n")
-    return 0
+    payload = {
+        "p": ctx.p,
+        "object": name,
+        "valuation": series.val,
+        "coefficients": [[str(n), str(c)] for n, c in pairs],
+    }
+    text = f"p={ctx.p} {name}: {series.pretty(max_terms=series.prec - series.val + 1)}"
+    return payload, [("exponent", "coefficient")] + pairs, [text]
 
 
-def _verify_theorem2(args, ctx):
+def _theorem2(args, ctx):
     prec = _precision(args, default={2: 4096}.get(ctx.p, 2048))
     report = congruence.verify_theorem2(
         ctx, m_max=args.m_max, d_max=args.d_max, n_max=args.n_max, base_prec=prec
@@ -235,10 +221,10 @@ def _verify_theorem2(args, ctx):
         "failures": len(report.failures),
         "base_prec": report.base_prec,
     }
-    return report.ok, lines, payload
+    return payload, None, lines
 
 
-def _verify_lehner(args, ctx):
+def _lehner(args, ctx):
     if not 1 <= args.m < ctx.p:
         raise UsageError(f"--m must satisfy 1 <= m < {ctx.p}")
     report = congruence.verify_theorem2(
@@ -254,10 +240,10 @@ def _verify_lehner(args, ctx):
         f"{len(report.cases)} cases, " + ("PASS" if report.ok else "FAIL")
     ]
     payload = {"target": "lehner", "p": ctx.p, "ok": report.ok, "cases": len(report.cases)}
-    return report.ok, lines, payload
+    return payload, None, lines
 
 
-def _verify_modeq(args, ctx):
+def _modeq(args, ctx):
     prec = _precision(args, default=128)
     eq = hecke.derive_bj(ctx, prec)
     expected = hecke.BJ_TABLE[ctx.p]
@@ -266,11 +252,10 @@ def _verify_modeq(args, ctx):
     for j, b in enumerate(eq.b, start=1):
         lines.append(f"b_{j} = {b}")
     lines.append("PASS" if ok else f"FAIL (expected {expected})")
-    payload = {"target": "modeq", "p": ctx.p, "ok": ok, "b": [str(b) for b in eq.b]}
-    return ok, lines, payload
+    return {"target": "modeq", "p": ctx.p, "ok": ok, "b": [str(b) for b in eq.b]}, None, lines
 
 
-def _verify_hrelation(args, ctx):
+def _hrelation(args, ctx):
     prec = _precision(args, default=128)
     residual = hecke.verify_hpoly_relation(ctx, prec)
     ok = residual.is_zero()
@@ -278,12 +263,10 @@ def _verify_hrelation(args, ctx):
         f"hrelation p={ctx.p} N={prec}: residual "
         + ("zero to precision, PASS" if ok else f"nonzero at w^{residual.val}, FAIL")
     ]
-    payload = {"target": "hrelation", "p": ctx.p, "ok": ok}
-    return ok, lines, payload
+    return {"target": "hrelation", "p": ctx.p, "ok": ok}, None, lines
 
 
-def _verify_powersums(args, ctx):
-    _no_precision(args, "verify powersums")
+def _powersums(args, ctx):
     n_max = 2 * ctx.p if args.n_max is None else args.n_max
     report = hecke.verify_power_sum_divisibility(ctx, n_max)
     lines = [f"powersums p={ctx.p} n<={n_max}"]
@@ -299,10 +282,10 @@ def _verify_powersums(args, ctx):
         "ok": report.ok,
         "rows": [[r.n, _fmt_val(r.observed_t), r.required, r.ok] for r in report.rows],
     }
-    return report.ok, lines, payload
+    return payload, None, lines
 
 
-def _verify_closure(args, ctx):
+def _closure(args, ctx):
     report = hecke.verify_up_closure(
         ctx, trials=args.trials, deg_max=args.deg_max, seed=args.seed,
         n=_precision(args, default=None),  # None: follows from p and deg_max
@@ -315,12 +298,13 @@ def _verify_closure(args, ctx):
     ]
     for t in bad[:5]:
         lines.append(f"FAIL trial {t.index}: t={_fmt_val(t.observed_t)} ({t.error})")
-    payload = {"target": "closure", "p": ctx.p, "ok": report.ok, "trials": args.trials}
-    return report.ok, lines, payload
+    return {"target": "closure", "p": ctx.p, "ok": report.ok, "trials": args.trials}, None, lines
 
 
-def _verify_cusp(args, ctx):
-    _no_precision(args, "verify cusp")
+def _cusp(args, ctx):
+    # a tolerance nothing can meet would read as a counterexample
+    if not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be a positive finite number, got {args.tol:g}")
     tau = parse_tau(args.tau)
     residual = eta.check_cusp_relation(ctx, tau)
     ok = residual < args.tol
@@ -328,27 +312,7 @@ def _verify_cusp(args, ctx):
         f"cusp p={ctx.p} tau={tau}: residual {residual:.3e} "
         + (f"< {args.tol:g}, PASS" if ok else f">= {args.tol:g}, FAIL")
     ]
-    payload = {"target": "cusp", "p": ctx.p, "ok": ok, "residual": residual}
-    return ok, lines, payload
-
-
-def _cmd_verify(args) -> int:
-    ctx = _context(args)
-    handler = {
-        "theorem2": _verify_theorem2,
-        "lehner": _verify_lehner,
-        "modeq": _verify_modeq,
-        "hrelation": _verify_hrelation,
-        "powersums": _verify_powersums,
-        "closure": _verify_closure,
-        "cusp": _verify_cusp,
-    }[args.target]
-    ok, lines, payload = handler(args, ctx)
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return {"target": "cusp", "p": ctx.p, "ok": ok, "residual": residual}, None, lines
 
 
 def _parse_int_list(text: str, what: str):
@@ -358,24 +322,7 @@ def _parse_int_list(text: str, what: str):
         raise UsageError(f"cannot parse {what} list {text!r}") from exc
 
 
-def _cmd_table(args) -> int:
-    ctx = _context(args)
-    if args.which == "bj":
-        prec = _precision(args, default=128)
-        eq = hecke.derive_bj(ctx, prec)
-        rows = [(j, b) for j, b in enumerate(eq.b, start=1)]
-        if args.format == "json":
-            _emit(args, _json_dump({"p": ctx.p, "table": "bj", "rows": [[j, str(b)] for j, b in rows]}))
-        elif args.format == "csv":
-            out = [_csv_line(("j", "b_j"))] + [_csv_line(r) for r in rows]
-            _emit(args, "".join(out))
-        else:
-            lines = [f"modular-equation coefficients, p={ctx.p}"]
-            lines += [f"  {j}  {b}" for j, b in rows]
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
-
-    _no_precision(args, "table valuations")
+def _valuations(args, ctx):
     ms = _parse_int_list(args.rows, "rows")
     ns = _parse_int_list(args.cols, "cols")
     if not ms or not ns:
@@ -383,78 +330,49 @@ def _cmd_table(args) -> int:
     if min(ns) < 0:
         raise UsageError(f"--cols takes coefficient indices n >= 0, got {min(ns)}")
     table = congruence.valuation_table(ctx, ms, ns, include_j=args.with_j)
-    if args.format == "json":
-        payload = {
-            "p": table.p,
-            "table": "valuations",
-            "cols": list(table.col_labels),
-            "rows": [
-                [str(label)] + [_fmt_val(v) for v in row]
-                for label, row in zip(table.row_labels, table.rows)
-            ],
-        }
-        _emit(args, _json_dump(payload))
-    elif args.format == "csv":
-        out = [_csv_line(["m\\n"] + list(table.col_labels))]
-        for label, row in zip(table.row_labels, table.rows):
-            out.append(_csv_line([label] + [_fmt_val(v) for v in row]))
-        _emit(args, "".join(out))
-    else:
-        width = 6
-        header = f"v_{table.p} of basis coefficients (rows: pole order, cols: index)"
-        lines = [header, " " * width + "".join(f"{n:>{width}}" for n in table.col_labels)]
-        for label, row in zip(table.row_labels, table.rows):
-            lines.append(
-                f"{str(label):>{width}}" + "".join(f"{_fmt_val(v):>{width}}" for v in row)
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    cols = list(table.col_labels)
+    rows = [
+        [str(label)] + [_fmt_val(v) for v in row]
+        for label, row in zip(table.row_labels, table.rows)
+    ]
+    lines = [f"v_{table.p} of basis coefficients (rows: pole order, cols: index)"]
+    lines += ["".join(f"{cell:>6}" for cell in row) for row in [[""] + cols] + rows]
+    payload = {"p": table.p, "table": "valuations", "cols": cols, "rows": rows}
+    return payload, [["m\\n"] + cols] + rows, lines
 
 
-def _cmd_scan(args) -> int:
-    ctx = _context(args)
-    _no_precision(args, f"scan {args.which}")
-    if args.which == "alpha-gt-beta":
-        rows = congruence.scan_alpha_gt_beta(ctx, args.m_max, args.n_max)
-        header = ("m", "beta", "n", f"v_{ctx.p}")
-    else:
-        rows = congruence.scan_phi_powers(ctx, args.pow_max, args.d_max, args.n_max)
-        header = ("k", "beta", "n", f"v_{ctx.p}")
-    if args.format == "json":
-        _emit(
-            args,
-            _json_dump(
-                {
-                    "p": ctx.p,
-                    "scan": args.which,
-                    "columns": list(header),
-                    "rows": [[r[0], r[1], r[2], _fmt_val(r[3])] for r in rows],
-                }
-            ),
-        )
-    else:
-        out = [_csv_line(header)]
-        out += [_csv_line((a, b, c, _fmt_val(v))) for a, b, c, v in rows]
-        _emit(args, "".join(out))
-    return 0
+def _bj(args, ctx):
+    rows = list(enumerate(hecke.derive_bj(ctx, _precision(args, default=128)).b, start=1))
+    lines = [f"modular-equation coefficients, p={ctx.p}"] + [f"  {j}  {b}" for j, b in rows]
+    payload = {"p": ctx.p, "table": "bj", "rows": [[j, str(b)] for j, b in rows]}
+    return payload, [("j", "b_j")] + rows, lines
+
+
+def _scan(ctx, name: str, first_column: str, rows):
+    columns = [first_column, "beta", "n", f"v_{ctx.p}"]
+    rows = [[a, b, c, _fmt_val(v)] for a, b, c, v in rows]
+    return {"p": ctx.p, "scan": name, "columns": columns, "rows": rows}, [columns] + rows, None
+
+
+def _alpha_scan(args, ctx):
+    rows = congruence.scan_alpha_gt_beta(ctx, args.m_max, args.n_max)
+    return _scan(ctx, "alpha-gt-beta", "m", rows)
+
+
+def _phi_scan(args, ctx):
+    rows = congruence.scan_phi_powers(ctx, args.pow_max, args.d_max, args.n_max)
+    return _scan(ctx, "phi-powers", "k", rows)
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        # PrimeContext raises ValueError for an unsupported level
+        payload, csv_rows, lines = args.handler(args, PrimeContext(args.p, args.exploratory))
+        _render(args, payload, csv_rows, lines)
+        return 0 if payload.get("ok", True) else 1
+    except SystemExit as exc:  # --help
+        return exc.code
     except (UsageError, ValueError) as exc:
         # the library raises ValueError (PrecisionError included) for an
         # argument out of range, so bad input never looks like a counterexample

@@ -62,7 +62,8 @@ def verify_theorem2(
     """Exact divisibility sweep over basis elements and decimation depths.
 
     The index n runs from 1: constant terms are exempt (the constant term of
-    the pole-order-1 element already violates the stated modulus).
+    the pole-order-1 element already violates the stated modulus).  Given
+    ``n_max``, every checked block must know n = 1..n_max, or ValueError.
     """
     p = ctx.p
     # each bound below leaves no case to check, which would read as a PASS
@@ -87,8 +88,14 @@ def verify_theorem2(
             if beta <= alpha:
                 continue
             required = bound(ctx, beta - alpha)
-            hi = s.prec if n_max is None else min(n_max, s.prec)
-            for n in range(1, hi + 1):
+            # a coefficient nobody computed must not count as checked
+            if n_max is not None and s.prec < n_max:
+                raise ValueError(
+                    f"base_prec={base_prec} knows m={m}, beta={beta} only to n={s.prec} < "
+                    f"n_max={n_max}; default_base_precision(ctx, {m_max}, {d_max}, {n_max}) = "
+                    f"{default_base_precision(ctx, m_max, d_max, n_max)} suffices"
+                )
+            for n in range(1, (s.prec if n_max is None else n_max) + 1):
                 c = s.coeff(n)
                 observed = val_p(c, p)
                 ok = observed >= required

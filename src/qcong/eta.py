@@ -46,19 +46,21 @@ def _psi_cached(ctx: PrimeContext, n: int) -> QSeries:
     return out
 
 
-_psi_top: dict = {}  # ctx -> longest expansion asked for so far
+_top: dict = {}  # (builder, ctx) -> longest precision asked for so far
+
+
+def _longest(build, ctx: PrimeContext, n: int) -> QSeries:
+    # a shorter expansion is the truncation of a longer one, so every request
+    # is served from the longest expansion asked for so far at this level
+    top = _top[build, ctx] = max(n, _top.get((build, ctx), n))
+    return build(ctx, top).truncate(n)
 
 
 def psi(ctx: PrimeContext, n: int) -> QSeries:
-    """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam.
-
-    A shorter expansion is the truncation of a longer one, so every request
-    is served from the longest expansion asked for so far at this level.
-    """
+    """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    top = _psi_top[ctx] = max(n, _psi_top.get(ctx, n))
-    return _psi_cached(ctx, top).truncate(n)
+    return _longest(_psi_cached, ctx, n)
 
 
 @lru_cache(maxsize=32)
@@ -73,7 +75,7 @@ def phi(ctx: PrimeContext, n: int) -> QSeries:
     """The reciprocal Hauptmodul q + O(q^2)."""
     if n < 1:
         raise ValueError("precision must be at least 1")
-    return _phi_cached(ctx, n)
+    return _longest(_phi_cached, ctx, n)
 
 
 # ---------------------------------------------------------------------------

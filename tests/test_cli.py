@@ -237,6 +237,18 @@ class TestUsageErrors:
             "scan phi-powers --n-max 0",
             "scan phi-powers --pow-max -1",
             "table valuations --p 2 --rows 1 --cols 2,-3",
+            "verify modeq --trials 5",
+            "expand --psi --seed 3 --precision 2",
+            "verify modeq --exploratory",
+            "table bj --with-j",
+            "scan phi-powers --m-max 3",
+            "verify modeq --prec 64",
+            "verify --p 3 modeq",
+            "verify cusp --p 3 --tol 0",
+            "verify cusp --p 3 --tol -1",
+            "verify cusp --p 3 --tol nan",
+            "verify lehner --p 5 --m 1 --precision 16",
+            "verify theorem2 --p 7 --m-max 3 --d-max 3 --n-max 10 --precision 128",
         ],
         ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
              "tau-lower-half-plane", "d-max-negative", "theorem2-n-max-0",
@@ -246,7 +258,11 @@ class TestUsageErrors:
              "scan-precision-ignored", "valuations-precision-ignored",
              "cusp-precision-ignored", "powersums-precision-ignored",
              "alpha-scan-m-max-negative", "alpha-scan-n-max-0", "phi-scan-n-max-0",
-             "phi-scan-pow-max-negative", "valuations-negative-col"],
+             "phi-scan-pow-max-negative", "valuations-negative-col",
+             "modeq-trials-unread", "expand-seed-unread", "modeq-exploratory-unread",
+             "bj-with-j-unread", "phi-scan-m-max-unread", "abbreviated-flag",
+             "flag-before-target", "cusp-tol-0", "cusp-tol-negative", "cusp-tol-nan",
+             "lehner-n-max-beyond-precision", "theorem2-n-max-beyond-precision"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())
@@ -257,6 +273,11 @@ class TestUsageErrors:
         code, out, err = capture(capsys, "table valuations --cols -3".split())
         assert code == 2 and out == ""
         assert err == "error: --cols takes coefficient indices n >= 0, got -3\n"
+
+    def test_bad_tolerance_names_the_flag(self, capsys):
+        code, out, err = capture(capsys, "verify cusp --p 3 --tol 0".split())
+        assert code == 2 and out == ""
+        assert err == "error: --tol must be a positive finite number, got 0\n"
 
     def test_lehner_reads_the_precision_env(self, capsys, monkeypatch):
         argv = ["verify", "lehner", "--p", "5", "--m", "1"]
@@ -295,6 +316,7 @@ class TestUsageErrors:
     def test_format_not_rendered_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())
         assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "invalid choice" in err
 
     @pytest.mark.parametrize(

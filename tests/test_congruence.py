@@ -79,6 +79,13 @@ class TestTheorem2:
         with pytest.raises(ValueError):
             verify_theorem2(PrimeContext(7), m_max=m_max, d_max=d_max, n_max=n_max)
 
+    def test_rejects_n_max_beyond_the_known_coefficients(self):
+        # at base_prec 128 and p = 7, beta = 2 knows n <= 2 and beta = 3 nothing
+        with pytest.raises(ValueError, match=r"m=1, beta=2 .*default_base_precision"):
+            verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10, base_prec=128)
+        report = verify_theorem2(PrimeContext(7), m_max=3, d_max=1, n_max=10, base_prec=128)
+        assert {c.n for c in report.cases} == set(range(1, 11))
+
 
 class TestLehnerDirect:
     """Pole orders below p (the CLI's ``verify lehner``)."""
@@ -184,14 +191,15 @@ class TestDecomposeUpStep:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_pole_orders_share_one_psi_expansion(self, p):
         # from cold caches, m = 1..6 grow one family on one psi; the phi
-        # tables of express_in_phi truncate that same expansion
-        eta._psi_top.clear()
+        # tables of express_in_phi truncate one phi inverted from it
+        eta._top.clear()
         for cached in (eta._psi_cached, eta._phi_cached, basis._family_table,
                        basis._phi_table, basis.phi_powers):
             cached.cache_clear()
         for m in range(1, 7):
             decompose_up_step(PrimeContext(p), m)
         assert eta._psi_cached.cache_info().misses == 1
+        assert eta._phi_cached.cache_info().misses == 1
         assert basis._family_table.cache_info().misses == 1
 
 
