@@ -35,10 +35,8 @@ from .hecke import (
     RpReport,
     derive_bj,
     g_poly,
-    power_sum,
     power_sums,
     rp_report,
-    up_iterate,
     verify_hpoly_relation,
     verify_power_sum_divisibility,
     verify_up_closure,
@@ -81,13 +79,11 @@ __all__ = [
     "g_poly",
     "j_series",
     "phi",
-    "power_sum",
     "power_sums",
     "psi",
     "rp_report",
     "scan_alpha_gt_beta",
     "scan_phi_powers",
-    "up_iterate",
     "val_p",
     "valuation_table",
     "verify_hpoly_relation",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .eta import phi, psi
 from .primes import PrimeContext
@@ -102,20 +101,16 @@ class PhiPolynomial:
         """The series sum c_k phi^k for phi known to precision n, read from the
         shared ``phi_powers`` table.  Its precision is the one the terms
         determine: n + j when phi^(j+1) is the lowest non-constant power
-        present, n for a constant.  The non-constant part is phi^j times a
-        sum read from the table, so no table beyond precision n is built."""
-        j = min((k for k in self.coeffs if k), default=1) - 1
-        powers = phi_powers(ctx, self.degree - j, n) if self.degree else ()
+        present, n for a constant."""
+        n += min((k for k in self.coeffs if k), default=1) - 1
+        powers = phi_powers(ctx, self.degree, n) if self.degree else ()
         out = [0] * (n + 1)
         for k, c in self.coeffs.items():
             if k:
-                t = powers[k - j]
+                t = powers[k]
                 for i, x in enumerate(t.coeffs, start=t.val):
                     out[i] += c * x
-        s = QSeries(out, 0, n)
-        if j:
-            s = s * phi(ctx, n) ** j
-        return s + self.constant
+        return QSeries(out, 0, n) + self.constant
 
 
 @dataclass(frozen=True)
@@ -128,30 +123,28 @@ class BasisElement:
     psi_poly: dict = field(default_factory=dict)  # degree -> int, monic, no constant
 
 
-def _grow(powers: list, t: QSeries, k: int, prec: int) -> list:
-    """Extend powers = [t^0, t^1, ...] in place up to t^k, each truncated at
-    precision prec."""
+def _powers(t: QSeries, k: int, prec: int) -> list:
+    """t^0 .. t^k of a Hauptmodul t, each truncated at precision prec."""
+    powers = [QSeries.one(prec), t.truncate(prec)]
     while len(powers) <= k:
         powers.append((powers[-1] * t).truncate(prec))
-    return powers
+    return powers[: k + 1]
 
 
-def _powers(t: QSeries, k: int, prec: int) -> tuple:
-    """t^0 .. t^k of a Hauptmodul t, each truncated at precision prec."""
-    return tuple(_grow([QSeries.one(prec), t.truncate(prec)], t, k, prec)[: k + 1])
+_phi_tables: dict = {}  # level -> [phi^0, phi^1, ...]
 
 
-@lru_cache(maxsize=16)
-def _phi_table(ctx: PrimeContext, n: int) -> list:
-    """phi^0, phi^1, ... at precision n, grown in degree by ``phi_powers``."""
-    return [QSeries.one(n), phi(ctx, n)]
-
-
-@lru_cache(maxsize=32)
 def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
-    """phi^0 .. phi^k, each truncated at precision n."""
-    table = _phi_table(ctx, n)
-    return tuple(_grow(table, table[1], k, n)[: k + 1])
+    """phi^0 .. phi^k, each truncated at precision n, read from the table at
+    this level.  Each phi^i there stays at the longest precision asked of it,
+    and only entries shorter than n are rebuilt, as phi^(i-1) * phi."""
+    ph = phi(ctx, n)
+    table = _phi_tables.setdefault(ctx, [])
+    for i in range(k + 1):
+        if i == len(table) or table[i].prec < n:
+            t = (table[i - 1] * ph).truncate(n) if i else QSeries.one(n)
+            table[i : i + 1] = [t]  # replaces entry i, or appends it
+    return tuple(t.truncate(n) for t in table[: k + 1])
 
 
 def _eliminate(s: QSeries, powers, degrees):
@@ -167,48 +160,46 @@ def _eliminate(s: QSeries, powers, degrees):
     return s, coeffs
 
 
-@lru_cache(maxsize=8)
-def _family_table(ctx: PrimeContext, prec: int) -> list:
-    """Basis elements f_0, f_1, ... from psi at precision prec (f_m known to
-    prec - m + 1), grown in pole order by ``basis_family``."""
-    return [
-        BasisElement(ctx, 0, QSeries.one(prec), {}),
-        BasisElement(ctx, 1, psi(ctx, prec), {1: 1}),
-    ]
+def _faber_step(ps: QSeries, fam: list) -> BasisElement:
+    """f_m for m = len(fam), from psi and fam = [f_0, ..., f_{m-1}]."""
+    # Faber recurrence: psi * f_{m-1} = q^-m + sum_{k<m} c_k q^-k + O(1), so
+    # f_m = psi * f_{m-1} - sum c_k f_k; f_k is monic with no other pole term
+    ctx, m = fam[0].ctx, len(fam)
+    if m == 1:
+        return BasisElement(ctx, 1, ps, {1: 1})
+    series = [e.series for e in fam]
+    r, coeffs = _eliminate(ps * series[m - 1], series, range(m - 1, 0, -1))
+    if r.coeff(-m) != 1 or any(r.coeff(-k) != 0 for k in range(1, m)):
+        raise ArithmeticError("basis reduction failed to normalize the principal part")
+    # psi, f_k and so each c_k are integral; this guards the arithmetic
+    if not r.is_integral():
+        raise ArithmeticError("basis element has a non-integer coefficient")
+    poly = {k + 1: c for k, c in fam[m - 1].psi_poly.items()}
+    for k, c in coeffs.items():
+        for d, e in fam[k].psi_poly.items():
+            poly[d] = poly.get(d, 0) - c * e
+    return BasisElement(ctx, m, r, {d: e for d, e in poly.items() if e})
 
 
-def _grow_family(table: list, m_max: int) -> None:
-    # Faber recurrence: psi * f_m = q^-(m+1) + sum_{k<=m} c_k q^-k + O(1), so
-    # f_{m+1} = psi * f_m - sum c_k f_k; f_k is monic with no other pole term
-    ctx, ps = table[1].ctx, table[1].series
-    series = [e.series for e in table]
-    while len(table) <= m_max:
-        m = len(table) - 1
-        r, coeffs = _eliminate(ps * series[m], series, range(m, 0, -1))
-        if r.coeff(-m - 1) != 1 or any(r.coeff(-k) != 0 for k in range(1, m + 1)):
-            raise ArithmeticError("basis reduction failed to normalize the principal part")
-        # psi, f_k and so each c_k are integral; this guards the arithmetic
-        if not r.is_integral():
-            raise ArithmeticError("basis element has a non-integer coefficient")
-        poly = {k + 1: c for k, c in table[m].psi_poly.items()}
-        for k, c in coeffs.items():
-            for d, e in table[k].psi_poly.items():
-                poly[d] = poly.get(d, 0) - c * e
-        table.append(BasisElement(ctx, m + 1, r, {d: e for d, e in poly.items() if e}))
-        series.append(r)
+_families: dict = {}  # level -> [None, f_1, f_2, ...]
 
 
 def basis_family(ctx: PrimeContext, m_max: int, n: int):
     """Basis elements for pole orders 0..m_max, f_m known to n + m_max - m,
-    read from the family grown on psi at precision n + m_max - 1."""
+    read from the family at this level.  Each f_m there stays at the longest
+    precision asked of it, and only entries shorter than asked are rebuilt."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    one = (BasisElement(ctx, 0, QSeries.one(n), {}),)
-    if m_max == 0:
-        return one
-    table = _family_table(ctx, n + m_max - 1)
-    _grow_family(table, m_max)
-    return one + tuple(table[1 : m_max + 1])
+    out = [BasisElement(ctx, 0, QSeries.one(n), {})]
+    prec = n + m_max - 1  # of psi; f_m is known to prec - m + 1
+    ps = psi(ctx, prec) if m_max else None
+    table = _families.setdefault(ctx, [None])
+    for m in range(1, m_max + 1):
+        if m == len(table) or table[m].series.prec < prec - m + 1:
+            table[m : m + 1] = [_faber_step(ps, out)]  # replaces f_m, or appends it
+        e = table[m]
+        out.append(BasisElement(ctx, m, e.series.truncate(prec - m + 1), e.psi_poly))
+    return tuple(out)
 
 
 def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:

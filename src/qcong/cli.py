@@ -366,6 +366,13 @@ def _phi_scan(args, ctx):
 
 def run(argv=None) -> int:
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # only leaf commands take flags: argparse would read the value of a
+        # flag placed before the full command as the command itself
+        for word in argv[: 2 if argv[:1] in (["verify"], ["table"], ["scan"]) else 1]:
+            if word.startswith("-") and word not in ("-h", "--help"):
+                raise UsageError(f"misplaced flag {word.split('=')[0]}: flags follow the full "
+                                 "command, as in 'qcong verify modeq --p 3'")
         args = build_parser().parse_args(argv)
         # PrimeContext raises ValueError for an unsupported level
         payload, csv_rows, lines = args.handler(args, PrimeContext(args.p, args.exploratory))

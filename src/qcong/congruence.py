@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .basis import basis_family, express_in_phi, phi_powers
-from .eta import euler_product
+from .eta import _expansion, euler_product
 from .primes import PrimeContext
 from .series import QSeries, val_p
 
@@ -134,11 +133,10 @@ def eisenstein(weight: int, n: int) -> QSeries:
     return QSeries(coeffs, 0, n)
 
 
-@lru_cache(maxsize=8)
-def _j_cached(n: int) -> QSeries:
+def _build_j(_, n: int) -> QSeries:
     e4 = eisenstein(4, n + 2)
     delta_unit = euler_product(n + 2) ** 24
-    out = (e4**3 * delta_unit.invert()).shift(-1).truncate(n)
+    out = (e4**3 * delta_unit.invert()).shift(-1)
     if not out.is_integral():
         raise ArithmeticError("j expansion produced a non-integer coefficient")
     return out
@@ -148,7 +146,7 @@ def j_series(n: int) -> QSeries:
     """The classical q-expansion q^{-1} + 744 + 196884 q + ..."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _j_cached(n)
+    return _expansion(_build_j, None, n)
 
 
 def j_series_alt(n: int) -> QSeries:

@@ -8,7 +8,6 @@ evaluation on the upper half-plane used for the cusp-relation check.
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
 
 from .primes import PrimeContext
 from .series import QSeries
@@ -34,38 +33,40 @@ def euler_product(n: int) -> QSeries:
     return QSeries(coeffs, 0, n)
 
 
-@lru_cache(maxsize=32)
-def _psi_cached(ctx: PrimeContext, n: int) -> QSeries:
+_built: dict = {}  # (builder, level) -> the longest expansion built
+
+
+def _expansion(build, level, n: int) -> QSeries:
+    """The expansion build(level, n) to precision n, read off the longest one
+    built at this level: a shorter expansion is a truncation of a longer
+    one, so only a request beyond it builds again.  A builder returns every
+    coefficient its inputs determine, which may reach beyond n."""
+    out = _built.get((build, level))
+    if out is None or out.prec < n:
+        out = _built[build, level] = build(level, n)
+    return out.truncate(n)
+
+
+def _build_psi(ctx: PrimeContext, n: int) -> QSeries:
     t = n + 2
     e = euler_product(t)
     ep = euler_product(t // ctx.p + 1).dilate(ctx.p)
     unit = (e * ep.invert()) ** ctx.lam
-    out = unit.shift(-1).truncate(n)
+    out = unit.shift(-1)
     if not out.is_integral():
         raise ArithmeticError("hauptmodul expansion produced a non-integer coefficient")
     return out
-
-
-_top: dict = {}  # (builder, ctx) -> longest precision asked for so far
-
-
-def _longest(build, ctx: PrimeContext, n: int) -> QSeries:
-    # a shorter expansion is the truncation of a longer one, so every request
-    # is served from the longest expansion asked for so far at this level
-    top = _top[build, ctx] = max(n, _top.get((build, ctx), n))
-    return build(ctx, top).truncate(n)
 
 
 def psi(ctx: PrimeContext, n: int) -> QSeries:
     """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _longest(_psi_cached, ctx, n)
+    return _expansion(_build_psi, ctx, n)
 
 
-@lru_cache(maxsize=32)
-def _phi_cached(ctx: PrimeContext, n: int) -> QSeries:
-    out = psi(ctx, n + 2).invert().truncate(n)
+def _build_phi(ctx: PrimeContext, n: int) -> QSeries:
+    out = psi(ctx, n + 2).invert()
     if not out.is_integral():
         raise ArithmeticError("hauptmodul inverse produced a non-integer coefficient")
     return out
@@ -75,7 +76,7 @@ def phi(ctx: PrimeContext, n: int) -> QSeries:
     """The reciprocal Hauptmodul q + O(q^2)."""
     if n < 1:
         raise ValueError("precision must be at least 1")
-    return _longest(_phi_cached, ctx, n)
+    return _expansion(_build_phi, ctx, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""U_p iteration, the modular equation for phi, Newton power sums, and the
-phi-lattice closure checks."""
+"""The modular equation for phi, Newton power sums, the algebraic relation of
+h = p^{lam/2} phi(tau/p), and the phi-lattice closure checks."""
 from __future__ import annotations
 
 import math
@@ -33,15 +33,6 @@ class RpReport:
     member: bool
     t: object  # largest t with poly in p^t * lattice; math.inf for zero
     per_degree: dict  # degree -> valuation of that coefficient
-
-
-def up_iterate(f: QSeries, ctx: PrimeContext, beta: int) -> QSeries:
-    """Apply the coefficient-decimation operator beta times."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    for _ in range(beta):
-        f = f.u_op(ctx.p)
-    return f
 
 
 def derive_bj(ctx: PrimeContext, n: int = 128) -> ModularEquation:
@@ -89,11 +80,6 @@ def power_sums(eq: ModularEquation, n_max: int) -> list:
             acc = acc + term if (k + 1) % 2 == 0 else acc - term
         sums.append(acc)
     return sums[1:]
-
-
-def power_sum(eq: ModularEquation, n: int) -> PhiPolynomial:
-    """n-th power sum of the roots of the modular equation."""
-    return power_sums(eq, n)[-1]
 
 
 def rp_report(ctx: PrimeContext, poly: PhiPolynomial) -> RpReport:

@@ -467,7 +467,8 @@ class QSeries:
         """Drop coefficients above the given precision bound."""
         if prec >= self.prec:
             return self
-        return QSeries(list(self.coeffs), self.val, prec, self.ram)
+        # slice first, so that the cost follows the result, not self
+        return QSeries(self.coeffs[: prec - self.val + 1], self.val, prec, self.ram)
 
     def u_op(self, p: int) -> "QSeries":
         """Keep coefficients at exponents divisible by p, dividing the exponent."""

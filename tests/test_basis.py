@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcong import basis
 from qcong.basis import (
     NotPolynomialError,
     PhiPolynomial,
@@ -100,12 +101,19 @@ class TestFaberRecurrence:
                 assert fam[m].series.prec == (n if m == 0 else n + m_max - m)
                 assert fam[m].psi_poly == poly
 
-    def test_shorter_family_reads_the_grown_table(self):
-        # same psi precision n + m_max - 1: the second call only extends
-        small = basis_family(C2, 3, 30)
-        large = basis_family(C2, 6, 27)
-        assert large[1:4] == small[1:4]
-        assert all(a is b for a, b in zip(large[1:4], small[1:4]))
+    def test_shorter_family_reads_the_grown_table(self, monkeypatch):
+        monkeypatch.setattr(basis, "_families", {})
+        grown = basis_family(C2, 6, 40)  # psi precision 45
+
+        def no_faber_step(*args):
+            raise AssertionError("a shorter family took a new Faber step")
+
+        monkeypatch.setattr(basis, "_faber_step", no_faber_step)
+        for m_max, n in ((6, 40), (3, 30), (6, 27), (1, 0)):
+            fam = basis_family(C2, m_max, n)
+            for m in range(1, m_max + 1):
+                assert fam[m].series == grown[m].series.truncate(n + m_max - m)
+                assert fam[m].psi_poly == grown[m].psi_poly
 
 
 class TestPhiPowers:
@@ -117,9 +125,29 @@ class TestPhiPowers:
             for k in range(1, 5):
                 assert table[k] == (phi(ctx, 40) ** k).truncate(40)
 
-    def test_table_is_shared(self):
-        assert phi_powers(C2, 3, 24) is phi_powers(C2, 3, 24)
+    def test_table_is_shared(self, monkeypatch):
+        first = phi_powers(C2, 3, 24)
+
+        def no_product(*args):
+            raise AssertionError("a repeated call multiplied")
+
+        monkeypatch.setattr(QSeries, "__mul__", no_product)
+        assert phi_powers(C2, 3, 24) == first
+        assert phi_powers(C2, 2, 20) == tuple(t.truncate(20) for t in first[:3])
         assert phi_powers(C2, -1, 24) == ()
+
+    def test_each_power_keeps_its_own_precision(self, monkeypatch):
+        # the closure trials ask for a few powers at a long precision, then
+        # for many at a short one: only the entries too short are rebuilt
+        ctx = PrimeContext(7)
+        monkeypatch.setattr(basis, "_phi_tables", {})
+        for k, n in ((4, 300), (28, 44), (7, 128)):
+            table = phi_powers(ctx, k, n)
+            assert len(table) == k + 1 and table[0] == QSeries.one(n)
+            for i in range(1, k + 1):
+                assert table[i] == (phi(ctx, n) ** i).truncate(n)
+        precs = [t.prec for t in basis._phi_tables[ctx]]
+        assert precs == [300] * 5 + [128] * 3 + [44] * 21
 
 
 class TestExpressInPhi:

@@ -199,6 +199,13 @@ class TestScan:
         assert payload["columns"] == ["k", "beta", "n", "v_3"]
 
 
+# a flag before the full command is named, not read as the command
+MISPLACED = {
+    argv: "error: misplaced flag --p: flags follow the full command"
+    for argv in ("verify --p 3 modeq", "table --p 3 bj")
+}
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert run([]) == 2
@@ -244,6 +251,7 @@ class TestUsageErrors:
             "scan phi-powers --m-max 3",
             "verify modeq --prec 64",
             "verify --p 3 modeq",
+            "table --p 3 bj",
             "verify cusp --p 3 --tol 0",
             "verify cusp --p 3 --tol -1",
             "verify cusp --p 3 --tol nan",
@@ -261,13 +269,13 @@ class TestUsageErrors:
              "phi-scan-pow-max-negative", "valuations-negative-col",
              "modeq-trials-unread", "expand-seed-unread", "modeq-exploratory-unread",
              "bj-with-j-unread", "phi-scan-m-max-unread", "abbreviated-flag",
-             "flag-before-target", "cusp-tol-0", "cusp-tol-negative", "cusp-tol-nan",
+             "flag-before-target", "table-flag-before-target", "cusp-tol-0", "cusp-tol-negative", "cusp-tol-nan",
              "lehner-n-max-beyond-precision", "theorem2-n-max-beyond-precision"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(MISPLACED.get(argv, "error: ")) and err.count("\n") == 1
 
     def test_negative_column_names_the_flag(self, capsys):
         code, out, err = capture(capsys, "table valuations --cols -3".split())

@@ -1,4 +1,5 @@
 import math
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -15,7 +16,6 @@ from qcong.congruence import (
     verify_theorem2,
 )
 from qcong import basis, eta
-from qcong.hecke import up_iterate
 from qcong.basis import basis_element
 from qcong.primes import PrimeContext
 from qcong.series import agree, val_p
@@ -59,7 +59,7 @@ class TestTheorem2:
     def test_constant_terms_must_be_exempt(self):
         # the n = 0 coefficient genuinely violates the stated modulus
         ctx = PrimeContext(2)
-        u = up_iterate(basis_element(ctx, 1, 64).series, ctx, 1)
+        u = basis_element(ctx, 1, 64).series.u_op(ctx.p)
         assert val_p(u.coeff(0), 2) < bound(ctx, 1)
 
     def test_deep_valuation_example(self):
@@ -189,18 +189,31 @@ class TestDecomposeUpStep:
             assert decompose_up_step(PrimeContext(p), m).ok
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_pole_orders_share_one_psi_expansion(self, p):
-        # from cold caches, m = 1..6 grow one family on one psi; the phi
-        # tables of express_in_phi truncate one phi inverted from it
-        eta._top.clear()
-        for cached in (eta._psi_cached, eta._phi_cached, basis._family_table,
-                       basis._phi_table, basis.phi_powers):
-            cached.cache_clear()
+    def test_pole_orders_share_one_psi_expansion(self, p, monkeypatch):
+        # from empty tables, m = 1..6 build one psi and one family from it,
+        # and express_in_phi, whose inputs shorten as m grows, reads every
+        # phi^k from one table; each f_m and each phi^k is built once
+        for table in ("_families", "_phi_tables"):
+            monkeypatch.setattr(basis, table, {})
+        monkeypatch.setattr(eta, "_built", {})
+        builds = Counter()
+        for module, name in ((eta, "_build_psi"), (eta, "_build_phi")):
+
+            def counted(*args, _build=getattr(module, name), _name=name):
+                builds[_name] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        ctx = PrimeContext(p)
+        entries = defaultdict(dict)  # (table, index) -> {id: each entry it held}
         for m in range(1, 7):
-            decompose_up_step(PrimeContext(p), m)
-        assert eta._psi_cached.cache_info().misses == 1
-        assert eta._phi_cached.cache_info().misses == 1
-        assert basis._family_table.cache_info().misses == 1
+            decompose_up_step(ctx, m)
+            for table in ("_families", "_phi_tables"):
+                for k, t in enumerate(getattr(basis, table)[ctx]):
+                    entries[table, k][id(t)] = t
+        assert builds == {"_build_psi": 1, "_build_phi": 1}
+        assert sorted(entries) == [(t, k) for t in ("_families", "_phi_tables") for k in range(7)]
+        assert all(len(built) == 1 for built in entries.values())
 
 
 def test_default_base_precision_scales_with_depth():

@@ -425,3 +425,25 @@ def test_zero_representation():
     assert z.is_zero()
     assert z.prec == 7
     assert z.coeff(7) == 0
+
+
+class TestTruncate:
+    def test_keeps_the_known_prefix(self):
+        a = series([3, 0, 4, 1, 5], val=-2)  # prec 2
+        assert a.truncate(0) == series([3, 0, 4], val=-2)
+        assert a.truncate(2) is a and a.truncate(9) is a
+
+    def test_just_below_the_valuation_is_zero(self):
+        a = series([3, 1, 4], val=-2)
+        z = a.truncate(-3)
+        assert z.is_zero() and z.prec == -3 and z == QSeries.zero(-3)
+
+    def test_at_the_valuation_keeps_one_coefficient(self):
+        a = series([3, 1, 4], val=-2)
+        assert a.truncate(-2).coeffs == (3,)
+        assert a.truncate(-2) == series([3], val=-2)
+
+    def test_further_below_the_valuation_raises(self):
+        a = series([3, 1, 4], val=-2)
+        with pytest.raises(ValueError):
+            a.truncate(-4)
