@@ -136,13 +136,15 @@ _phi_tables: dict = {}  # level -> [phi^0, phi^1, ...]
 
 def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
     """phi^0 .. phi^k, each truncated at precision n, read from the table at
-    this level.  Each phi^i there stays at the longest precision asked of it,
-    and only entries shorter than n are rebuilt, as phi^(i-1) * phi."""
+    this level.  Only entries shorter than n are rebuilt, as phi^(i-1) * phi
+    with phi at n, and each keeps the precision that product determines,
+    n + i - 1.  So a later request at n + j for the powers above phi^j, as
+    ``PhiPolynomial.evaluate`` makes, is served without a product."""
     ph = phi(ctx, n)
     table = _phi_tables.setdefault(ctx, [])
     for i in range(k + 1):
         if i == len(table) or table[i].prec < n:
-            t = (table[i - 1] * ph).truncate(n) if i else QSeries.one(n)
+            t = table[i - 1] * ph if i > 1 else ph if i else QSeries.one(n)
             table[i : i + 1] = [t]  # replaces entry i, or appends it
     return tuple(t.truncate(n) for t in table[: k + 1])
 

@@ -146,8 +146,24 @@ class TestPhiPowers:
             assert len(table) == k + 1 and table[0] == QSeries.one(n)
             for i in range(1, k + 1):
                 assert table[i] == (phi(ctx, n) ** i).truncate(n)
+        # phi^i built at a request for n keeps the precision of its product
+        asked = [300] * 5 + [128] * 3 + [44] * 21
         precs = [t.prec for t in basis._phi_tables[ctx]]
-        assert precs == [300] * 5 + [128] * 3 + [44] * 21
+        assert precs == [n + max(i - 1, 0) for i, n in enumerate(asked)]
+
+    def test_shifted_request_multiplies_nothing(self, monkeypatch):
+        # evaluate reads the table at n + j when phi^(j+1) is the lowest power;
+        # the entries above phi^j built at n already reach that far
+        monkeypatch.setattr(basis, "_phi_tables", {})
+        ph = phi(C2, 64).truncate(40)
+        phi_powers(C2, 4, 40)
+        want = (ph**2 + 3 * ph**4).truncate(41)
+
+        def no_product(*args):
+            raise AssertionError("a shifted request multiplied")
+
+        monkeypatch.setattr(QSeries, "__mul__", no_product)
+        assert PhiPolynomial({2: 1, 4: 3}).evaluate(C2, 40) == want
 
 
 class TestExpressInPhi:
