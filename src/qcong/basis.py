@@ -139,14 +139,15 @@ def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
     this level.  Only entries shorter than n are rebuilt, as phi^(i-1) * phi
     with phi at n, and each keeps the precision that product determines,
     n + i - 1.  So a later request at n + j for the powers above phi^j, as
-    ``PhiPolynomial.evaluate`` makes, is served without a product."""
+    ``PhiPolynomial.evaluate`` makes, is served without a product.  A power
+    whose valuation k lies beyond n is zero to precision n."""
     ph = phi(ctx, n)
     table = _phi_tables.setdefault(ctx, [])
     for i in range(k + 1):
         if i == len(table) or table[i].prec < n:
             t = table[i - 1] * ph if i > 1 else ph if i else QSeries.one(n)
             table[i : i + 1] = [t]  # replaces entry i, or appends it
-    return tuple(t.truncate(n) for t in table[: k + 1])
+    return tuple(t.truncate(n) if t.val <= n else QSeries.zero(n) for t in table[: k + 1])
 
 
 def _eliminate(s: QSeries, powers, degrees):

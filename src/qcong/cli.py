@@ -13,6 +13,8 @@ Exit codes: 0 = all checks passed, 1 = a verification found a counterexample,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -104,18 +106,14 @@ def _precision(args, minimum: int = 16, default: int | None = 256) -> int | None
     return prec
 
 
-def _csv_quote(s: str) -> str:
-    if any(ch in s for ch in ',"\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def _render(args, payload: dict, csv_rows, lines) -> None:
     """Write ``payload`` as JSON, ``csv_rows`` as CSV or ``lines`` as text."""
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        text = "".join(",".join(_csv_quote(str(f)) for f in row) + "\r\n" for row in csv_rows)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        text = buf.getvalue()
     else:
         text = "\n".join(lines) + "\n"
     if not args.output:
@@ -126,10 +124,6 @@ def _render(args, payload: dict, csv_rows, lines) -> None:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
-
-
-def _fmt_val(v) -> str:
-    return "inf" if v == math.inf else str(v)
 
 
 def parse_tau(text: str) -> complex:
@@ -147,6 +141,8 @@ def parse_tau(text: str) -> complex:
             return float(Fraction(v))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"cannot parse tau component {v!r}") from exc
+        except OverflowError as exc:
+            raise UsageError(f"tau component {v!r} is beyond double range") from exc
 
     # split at the last +/- that is not leading
     split = None
@@ -209,7 +205,7 @@ def _theorem2(args, ctx):
     ]
     for c in report.failures[:5]:
         lines.append(
-            f"FAIL m={c.m} beta={c.beta} n={c.n}: v_{c.p}={_fmt_val(c.observed)} "
+            f"FAIL m={c.m} beta={c.beta} n={c.n}: v_{c.p}={c.observed} "
             f"< required {c.required} (coefficient {c.value})"
         )
     lines.append("PASS" if report.ok else f"FAIL ({len(report.failures)} counterexamples)")
@@ -261,7 +257,7 @@ def _hrelation(args, ctx):
     ok = residual.is_zero()
     lines = [
         f"hrelation p={ctx.p} N={prec}: residual "
-        + ("zero to precision, PASS" if ok else f"nonzero at w^{residual.val}, FAIL")
+        + ("zero to precision, PASS" if ok else f"nonzero at q^{residual.val}, FAIL")
     ]
     return {"target": "hrelation", "p": ctx.p, "ok": ok}, None, lines
 
@@ -272,7 +268,7 @@ def _powersums(args, ctx):
     lines = [f"powersums p={ctx.p} n<={n_max}"]
     for row in report.rows:
         lines.append(
-            f"n={row.n}: observed t={_fmt_val(row.observed_t)} required>={row.required} "
+            f"n={row.n}: observed t={row.observed_t} required>={row.required} "
             + ("ok" if row.ok else "FAIL")
         )
     lines.append("PASS" if report.ok else "FAIL")
@@ -280,7 +276,7 @@ def _powersums(args, ctx):
         "target": "powersums",
         "p": ctx.p,
         "ok": report.ok,
-        "rows": [[r.n, _fmt_val(r.observed_t), r.required, r.ok] for r in report.rows],
+        "rows": [[r.n, str(r.observed_t), r.required, r.ok] for r in report.rows],
     }
     return payload, None, lines
 
@@ -297,7 +293,7 @@ def _closure(args, ctx):
         + ("PASS" if report.ok else "FAIL")
     ]
     for t in bad[:5]:
-        lines.append(f"FAIL trial {t.index}: t={_fmt_val(t.observed_t)} ({t.error})")
+        lines.append(f"FAIL trial {t.index}: t={t.observed_t} ({t.error})")
     return {"target": "closure", "p": ctx.p, "ok": report.ok, "trials": args.trials}, None, lines
 
 
@@ -332,7 +328,7 @@ def _valuations(args, ctx):
     table = congruence.valuation_table(ctx, ms, ns, include_j=args.with_j)
     cols = list(table.col_labels)
     rows = [
-        [str(label)] + [_fmt_val(v) for v in row]
+        [str(label)] + [str(v) for v in row]
         for label, row in zip(table.row_labels, table.rows)
     ]
     lines = [f"v_{table.p} of basis coefficients (rows: pole order, cols: index)"]
@@ -350,7 +346,7 @@ def _bj(args, ctx):
 
 def _scan(ctx, name: str, first_column: str, rows):
     columns = [first_column, "beta", "n", f"v_{ctx.p}"]
-    rows = [[a, b, c, _fmt_val(v)] for a, b, c, v in rows]
+    rows = [[a, b, c, str(v)] for a, b, c, v in rows]
     return {"p": ctx.p, "scan": name, "columns": columns, "rows": rows}, [columns] + rows, None
 
 

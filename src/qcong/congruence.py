@@ -192,7 +192,7 @@ def valuation_table(ctx: PrimeContext, ms, ns, include_j: bool = False) -> Valua
 # exploratory scans (data only, nothing asserted)
 
 
-def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int, base_prec: int | None = None):
+def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int):
     """Valuations v_p(a(m, p^beta n)) for beta up to v_p(m); rows (m, beta, n, v)."""
     # a range with no (m, n) at all would read as an empty result
     if m_max < 1:
@@ -203,9 +203,7 @@ def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int, base_prec: int
     ms = [m for m in range(1, m_max + 1) if m % p == 0]
     if not ms:
         return []
-    if base_prec is None:
-        base_prec = default_base_precision(ctx, m_max, 0, n_max)
-    fam = basis_family(ctx, m_max, base_prec)
+    fam = basis_family(ctx, m_max, default_base_precision(ctx, m_max, 0, n_max))
     rows = []
     for m in ms:
         alpha = val_p(m, p)
@@ -220,13 +218,7 @@ def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int, base_prec: int
     return rows
 
 
-def scan_phi_powers(
-    ctx: PrimeContext,
-    pow_max: int,
-    d_max: int,
-    n_max: int,
-    base_prec: int | None = None,
-):
+def scan_phi_powers(ctx: PrimeContext, pow_max: int, d_max: int, n_max: int):
     """Valuations of coefficients of U_p^beta phi^k; rows (k, beta, n, v)."""
     if pow_max < 0:
         raise ValueError("pow_max must be nonnegative")
@@ -234,10 +226,8 @@ def scan_phi_powers(
         raise ValueError("d_max must be nonnegative")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if base_prec is None:
-        base_prec = default_base_precision(ctx, 0, d_max, n_max)
     rows = []
-    for k, s in enumerate(phi_powers(ctx, pow_max, base_prec)):
+    for k, s in enumerate(phi_powers(ctx, pow_max, default_base_precision(ctx, 0, d_max, n_max))):
         for beta in range(0, d_max + 1):
             if beta:
                 s = s.u_op(ctx.p)
@@ -263,15 +253,14 @@ class UpStepDecomposition:
     ok: bool
 
 
-def decompose_up_step(ctx: PrimeContext, m: int, base_prec: int | None = None) -> UpStepDecomposition:
+def decompose_up_step(ctx: PrimeContext, m: int) -> UpStepDecomposition:
     """One U_p application on a basis element, split as constant
     (+ lower basis element when p divides m) + phi-polynomial with
     per-degree valuation floors lam*i/2 - 1."""
     if m < 1:
         raise ValueError("m must be positive")
     p = ctx.p
-    if base_prec is None:
-        base_prec = max(256, p * (m + 24))
+    base_prec = max(256, p * (m + 24))
     # psi at precision base_prec whatever m is, so that the pole orders share
     # one growing family; f_m is known to base_prec - m + 1
     fam = basis_family(ctx, m, base_prec - m + 1)

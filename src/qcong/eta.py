@@ -83,8 +83,9 @@ def phi(ctx: PrimeContext, n: int) -> QSeries:
 # numeric path (double precision; only used for cusp checks)
 
 
-def eta_eval(tau: complex, tol: float = 1e-20) -> complex:
+def eta_eval(tau: complex) -> complex:
     """Numeric eta(tau) = e^{2 pi i tau / 24} prod (1 - e^{2 pi i n tau})."""
+    tol = 1e-20
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("eta_eval requires Im(tau) > 0")
@@ -112,6 +113,10 @@ def check_cusp_relation(ctx: PrimeContext, tau: complex) -> float:
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("check_cusp_relation requires Im(tau) > 0")
-    lhs = psi_eval(ctx, -1 / (ctx.p * tau))
-    rhs = ctx.p ** (ctx.lam / 2) * phi_eval(ctx, tau)
+    try:
+        lhs = psi_eval(ctx, -1 / (ctx.p * tau))
+        rhs = ctx.p ** (ctx.lam / 2) * phi_eval(ctx, tau)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # an eta value underflows to 0, or a power of one overflows
+        raise ValueError(f"tau={tau} is beyond double range: {exc}") from exc
     return abs(lhs - rhs)

@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .basis import NotPolynomialError, PhiPolynomial, express_in_phi
+from .basis import NotPolynomialError, PhiPolynomial, express_in_phi, phi_powers
 from .eta import phi
 from .primes import PrimeContext
 from .series import QSeries, val_p
@@ -129,19 +129,18 @@ def verify_power_sum_divisibility(ctx: PrimeContext, n_max: int) -> PowerSumRepo
 
 def verify_hpoly_relation(ctx: PrimeContext, n: int = 128) -> QSeries:
     """Left-hand side of the algebraic relation satisfied by
-    h = p^{lam/2} phi(tau/p); zero-to-precision iff the relation holds."""
+    h = p^{lam/2} phi(tau/p), written in q by tau -> p tau: h^k becomes
+    p^{lam k/2} phi^k, read from the shared ``phi_powers`` table, and each
+    g_j(phi) is dilated by p.  Zero to precision n iff the relation holds."""
     p = ctx.p
-    ph = phi(ctx, n)
     eq = derive_bj(ctx, max(n, 128))
-    # phi(tau/p) is the same coefficient run read in w = q^{1/p}
-    h = QSeries(list(ph.coeffs), ph.val, ph.prec, ram=p) * p ** (ctx.lam // 2)
-    hs = [h**0, h]  # h^0 .. h^p
-    while len(hs) <= p:
-        hs.append(hs[-1] * h)
-    lhs = hs[p]
+    scale = p ** (ctx.lam // 2)
+    powers = phi_powers(ctx, p, n)
+    lhs = powers[p] * scale**p
     for j in range(1, p + 1):
-        gw = g_poly(eq, j).evaluate(ctx, n).ramify(p)
-        term = gw * hs[p - j]
+        # g_j known to n // p in q is known to (n // p + 1) p - 1 >= n once dilated
+        g = g_poly(eq, j).evaluate(ctx, max(n // p, 1)).dilate(p)
+        term = g * (powers[p - j] * scale ** (p - j))
         lhs = lhs + term if j % 2 == 0 else lhs - term
     return lhs
 

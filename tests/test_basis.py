@@ -166,6 +166,12 @@ class TestPhiPowers:
         assert PhiPolynomial({2: 1, 4: 3}).evaluate(C2, 40) == want
 
 
+    def test_powers_beyond_the_precision_are_zero(self):
+        # phi^k has valuation k, so beyond precision n it is zero to n
+        assert phi_powers(C2, 20, 2)[20] == QSeries.zero(2)
+        assert PhiPolynomial({1: 1, 10: 1}).evaluate(C2, 2) == phi(C2, 2)
+
+
 class TestExpressInPhi:
     def test_round_trip(self):
         ph = phi(C2, 32)

@@ -198,6 +198,14 @@ class TestScan:
         assert payload["scan"] == "phi-powers"
         assert payload["columns"] == ["k", "beta", "n", "v_3"]
 
+    def test_phi_scan_beyond_the_precision(self, capsys):
+        # base precision 17 here: phi^18 .. phi^20 are zero to it
+        argv = "scan phi-powers --p 2 --pow-max 20 --d-max 0 --n-max 1".split()
+        code, out, _ = capture(capsys, argv)
+        lines = out.split("\r\n")
+        assert code == 0 and lines[0] == "k,beta,n,v_2" and lines[-1] == ""
+        assert len(lines[1:-1]) == 21 and lines[-2] == "20,0,1,inf"
+
 
 # a flag before the full command is named, not read as the command
 MISPLACED = {
@@ -257,6 +265,11 @@ class TestUsageErrors:
             "verify cusp --p 3 --tol nan",
             "verify lehner --p 5 --m 1 --precision 16",
             "verify theorem2 --p 7 --m-max 3 --d-max 3 --n-max 10 --precision 128",
+            "verify cusp --tau 0+0.001i",
+            "verify cusp --tau 0+1e-30i",
+            "verify cusp --tau 0+1e5i",
+            "verify cusp --tau 0+1e400i",
+            "verify cusp --tau 1e400+1i",
         ],
         ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
              "tau-lower-half-plane", "d-max-negative", "theorem2-n-max-0",
@@ -270,7 +283,9 @@ class TestUsageErrors:
              "modeq-trials-unread", "expand-seed-unread", "modeq-exploratory-unread",
              "bj-with-j-unread", "phi-scan-m-max-unread", "abbreviated-flag",
              "flag-before-target", "table-flag-before-target", "cusp-tol-0", "cusp-tol-negative", "cusp-tol-nan",
-             "lehner-n-max-beyond-precision", "theorem2-n-max-beyond-precision"],
+             "lehner-n-max-beyond-precision", "theorem2-n-max-beyond-precision",
+             "cusp-eta-underflows-small-tau", "cusp-eta-underflows-tiny-tau",
+             "cusp-eta-underflows-large-tau", "cusp-imag-overflows", "cusp-real-overflows"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())

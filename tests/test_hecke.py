@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from qcong import hecke, series
 from qcong.basis import PhiPolynomial, basis_element
 from qcong.hecke import (
     BJ_TABLE,
+    ModularEquation,
     derive_bj,
     g_poly,
     power_sums,
@@ -190,6 +192,37 @@ class TestHPolyRelation:
         residual = verify_hpoly_relation(PrimeContext(p), 128)
         assert residual.is_zero()
         assert residual.prec >= 128
+
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_written_in_q_from_the_phi_table(self, p, n, monkeypatch):
+        ctx = PrimeContext(p)
+        residual = verify_hpoly_relation(ctx, n)
+        assert residual.ram == 1 and residual.prec >= n and residual.is_zero()
+        # with phi^0 .. phi^p in the table, only the p products G_j * H^(p-j)
+        # reach the kernel: the powers of h are scaled table entries
+        calls = []
+        mul = series.mul_frac_lists
+
+        def counted(a, b):
+            calls.append(len(a) * len(b))
+            return mul(a, b)
+
+        monkeypatch.setattr(series, "mul_frac_lists", counted)
+        assert verify_hpoly_relation(ctx, n) == residual
+        assert len(calls) == p
+
+    @pytest.mark.parametrize("p, first", [(2, 3), (3, 5), (5, 9), (7, 13)])
+    def test_wrong_modular_equation_leaves_a_residual(self, p, first, monkeypatch):
+        derive = hecke.derive_bj
+
+        def wrong_bj(ctx, n=128):
+            b = derive(ctx, n).b
+            return ModularEquation(ctx, (b[0] + 1,) + b[1:])
+
+        monkeypatch.setattr(hecke, "derive_bj", wrong_bj)
+        residual = verify_hpoly_relation(PrimeContext(p), 128)
+        assert not residual.is_zero() and residual.val == first
 
     def test_level2_leading_cancellation(self):
         # h^2 has w-coefficient 2^24 at w^2; g_2 contributes -2^24 there
