@@ -104,13 +104,13 @@ class PhiPolynomial:
         present, n for a constant."""
         n += min((k for k in self.coeffs if k), default=1) - 1
         powers = phi_powers(ctx, self.degree, n) if self.degree else ()
-        out = [0] * (n + 1)
+        out = [self.constant] + [0] * n
         for k, c in self.coeffs.items():
             if k:
                 t = powers[k]
                 for i, x in enumerate(t.coeffs, start=t.val):
                     out[i] += c * x
-        return QSeries(out, 0, n) + self.constant
+        return QSeries(out, 0, n)
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,14 @@ def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
 
 def _eliminate(s: QSeries, powers, degrees):
     """Clear the leading term of each monic powers[k] from s, in the order
-    of degrees; returns the residual and {k: c} with s = residual + sum
-    c * powers[k]."""
+    of degrees, one series per cleared term; returns the residual and
+    {k: c} with s = residual + sum c * powers[k]."""
     coeffs: dict[int, int | Fraction] = {}
     for k in degrees:
         c = s.coeff(powers[k].val)
         if c:
             coeffs[k] = c
-            s = s - c * powers[k]
+            s = s._plus(-c, powers[k])
     return s, coeffs
 
 
@@ -213,6 +213,17 @@ def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:
 _PHI_GUARD = 8  # coefficients of s beyond maxdeg, which must cancel too
 
 
+def _express(s: QSeries, powers, degrees, shape: str):
+    """Clear s against powers in the order of degrees, degree 0 being the
+    constant 1; returns the constant and {k: c} of the other degrees, or
+    raises if a residual survives to the precision of s."""
+    residual, coeffs = _eliminate(s, powers, degrees)
+    if not residual.is_zero():
+        bad = residual.val
+        raise NotPolynomialError(f"not a {shape}: residual at q^{bad}", bad)
+    return coeffs.pop(0, 0), coeffs
+
+
 def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
     """Write s as constant + polynomial in phi of degree <= maxdeg.
 
@@ -231,32 +242,22 @@ def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
         raise PrecisionError(
             f"precision {s.prec} too low for degree {maxdeg} (guard {_PHI_GUARD})"
         )
-    constant = s.coeff(0)
-    residual, coeffs = _eliminate(
-        s - constant, phi_powers(ctx, maxdeg, s.prec), range(1, maxdeg + 1)
+    constant, coeffs = _express(
+        s, phi_powers(ctx, maxdeg, s.prec), range(maxdeg + 1),
+        f"phi-polynomial of degree <= {maxdeg}",
     )
-    if not residual.is_zero():
-        bad = residual.val
-        raise NotPolynomialError(
-            f"not a phi-polynomial of degree <= {maxdeg}: residual at q^{bad}", bad
-        )
     return constant, PhiPolynomial(coeffs)
 
 
 def express_in_psi(ctx: PrimeContext, s: QSeries, maxdeg: int):
     """Write s as constant + polynomial in psi (no constant term in the poly),
-    against powers of psi built to cover every coefficient of s."""
+    against powers of psi built to cover every coefficient of s.  s must know
+    its constant (else ``PrecisionError``)."""
     if s.ram != 1:
         raise ValueError("express_in_psi requires an unramified series")
     if not s.is_zero() and s.val < -maxdeg:
         raise ValueError(f"valuation {s.val} below -maxdeg {-maxdeg}")
     ps = psi(ctx, s.prec + max(maxdeg, 1))
-    residual, coeffs = _eliminate(s, _powers(ps, maxdeg, ps.prec), range(maxdeg, 0, -1))
-    constant = residual.coeff(0) if residual.known(0) else 0
-    residual = residual - constant
-    if not residual.is_zero():
-        bad = residual.val
-        raise NotPolynomialError(
-            f"not a psi-polynomial plus constant: residual at q^{bad}", bad
-        )
-    return constant, coeffs
+    return _express(
+        s, _powers(ps, maxdeg, ps.prec), range(maxdeg, -1, -1), "psi-polynomial plus constant"
+    )

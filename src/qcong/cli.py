@@ -144,25 +144,15 @@ def parse_tau(text: str) -> complex:
         except OverflowError as exc:
             raise UsageError(f"tau component {v!r} is beyond double range") from exc
 
-    # split at the last +/- that is not leading
-    split = None
-    for i in range(len(s) - 1, 0, -1):
-        if s[i] in "+-" and s[i - 1] not in "+-/e":
-            split = i
-            break
-    if s.endswith("i") or s.endswith("j"):
-        body = s[:-1]
-        if split is None or split >= len(body) + 1:
-            return complex(0.0, part(body))
-        if split > len(body):
-            split = None
-        re_part, im_part = s[:split], s[split:-1]
-        sign = 1.0
-        if im_part and im_part[0] in "+-":
-            sign = -1.0 if im_part[0] == "-" else 1.0
-            im_part = im_part[1:]
-        return complex(part(re_part), sign * part(im_part or "1"))
-    return complex(part(s), 0.0)
+    if s[-1] not in "ij":
+        return complex(part(s), 0.0)
+    body = s[:-1]
+    # cut at the last sign that is not leading and does not follow +, -, / or e
+    cuts = [i for i in range(1, len(body)) if body[i] in "+-" and body[i - 1] not in "+-/e"]
+    if not cuts:
+        return complex(0.0, part(body))
+    k = cuts[-1]
+    return complex(part(body[:k]), (-1.0 if body[k] == "-" else 1.0) * part(body[k + 1 :]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +283,8 @@ def _closure(args, ctx):
         + ("PASS" if report.ok else "FAIL")
     ]
     for t in bad[:5]:
-        lines.append(f"FAIL trial {t.index}: t={t.observed_t} ({t.error})")
+        error = f" ({t.error})" if t.error else ""
+        lines.append(f"FAIL trial {t.index}: t={t.observed_t}{error}")
     return {"target": "closure", "p": ctx.p, "ok": report.ok, "trials": args.trials}, None, lines
 
 

@@ -109,7 +109,9 @@ def phi_eval(ctx: PrimeContext, tau: complex) -> complex:
 
 
 def check_cusp_relation(ctx: PrimeContext, tau: complex) -> float:
-    """|psi(-1/(p tau)) - p^{lam/2} phi(tau)| at the given point."""
+    """|psi(-1/(p tau)) - p^{lam/2} phi(tau)| at the given point, divided by
+    max(1, |p^{lam/2} phi(tau)|) so that round-off does not grow with the
+    values compared."""
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("check_cusp_relation requires Im(tau) > 0")
@@ -119,4 +121,4 @@ def check_cusp_relation(ctx: PrimeContext, tau: complex) -> float:
     except (ZeroDivisionError, OverflowError) as exc:
         # an eta value underflows to 0, or a power of one overflows
         raise ValueError(f"tau={tau} is beyond double range: {exc}") from exc
-    return abs(lhs - rhs)
+    return abs(lhs - rhs) / max(1.0, abs(rhs))

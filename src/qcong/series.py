@@ -326,10 +326,8 @@ class QSeries:
     # -- ramification ------------------------------------------------------
 
     def _respread(self, t: int, new_ram: int) -> "QSeries":
-        if t == 1:
-            if new_ram == self.ram:
-                return self
-            return QSeries(list(self.coeffs), self.val, self.prec, new_ram)
+        if t == 1:  # then new_ram == self.ram at every call site
+            return self
         n = len(self.coeffs)
         out = [0] * (n * t) if n else []
         for i, c in enumerate(self.coeffs):
@@ -356,44 +354,38 @@ class QSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _scalar(self, c) -> "QSeries":
-        # scalar treated as a constant series at the same precision
-        return QSeries([c], 0, max(self.prec, 0), self.ram)
-
-    def __add__(self, other):
+    def _plus(self, c, other, sign=1) -> "QSeries":
+        """sign * self + c * other in one pass over the two coefficient runs;
+        a scalar other is the constant series at precision max(self.prec, 0)."""
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self
-            other = self._scalar(other)
+            other = QSeries([other], 0, max(self.prec, 0), self.ram)
         elif not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._aligned(other)
         prec = min(a.prec, b.prec)
-        if a.is_zero() and b.is_zero():
-            return QSeries.zero(prec, a.ram)
         val = min(a.val, b.val, prec + 1)
-        out = [0] * (prec - val + 1)
-        for s in (a, b):
-            for i, c in enumerate(s.coeffs):
-                e = s.val + i
-                if e > prec:
-                    break
-                out[e - val] += c
+        out = [0] * (prec + 1 - val)
+        run = a.coeffs[: max(prec + 1 - a.val, 0)]
+        out[a.val - val : a.val - val + len(run)] = run if sign == 1 else [-x for x in run]
+        run = b.coeffs[: max(prec + 1 - b.val, 0)]
+        # a Fraction times 1 costs a gcd, so a plain sum multiplies nothing
+        for i, x in enumerate(run if c == 1 else [c * x for x in run], b.val - val):
+            out[i] += x
         return QSeries(out, val, prec, a.ram)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    def __add__(self, other):
+        return self._plus(1, other)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return QSeries([-c for c in self.coeffs], self.val, self.prec, self.ram)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, QSeries)):
-            return NotImplemented
-        return self.__add__(-other)
+        return self._plus(-1, other)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return self._plus(1, other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -476,15 +468,8 @@ class QSeries:
             raise ValueError("u_op is only supported on unramified series")
         if p < 2:
             raise ValueError("u_op requires p >= 2")
-        prec = self.prec // p
         lo = -((-self.val) // p)
-        if lo > prec:
-            return QSeries.zero(prec)
-        out = [0] * (prec - lo + 1)
-        start = lo * p
-        for e in range(start, self.prec + 1, p):
-            out[e // p - lo] = self.coeff(e)
-        return QSeries(out, lo, prec)
+        return QSeries(self.coeffs[lo * p - self.val :: p], lo, self.prec // p)
 
 
 def agree(a: QSeries, b: QSeries) -> bool:

@@ -215,6 +215,29 @@ class TestExpressInPsi:
         with pytest.raises(NotPolynomialError):
             express_in_psi(C2, ps + ph, 1)
 
+    def test_unknown_constant_raises(self):
+        # f_3 known to q^-1 does not determine its constant, which is cleared
+        # as degree 0 of the elimination
+        f3 = basis_element(C2, 3, 16).series
+        with pytest.raises(PrecisionError):
+            express_in_psi(C2, f3.truncate(-1), 3)
+
+
+def test_eliminate_builds_one_series_per_cleared_term(monkeypatch):
+    ps = psi(C2, 40)
+    powers = _powers(ps, 6, ps.prec)
+    built = []
+    init = QSeries.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QSeries, "__init__", spy)
+    _, coeffs = _eliminate(powers[6], powers, range(5, 0, -1))
+    assert len(coeffs) == 5
+    assert len(built) == len(coeffs)
+
 
 class TestPhiPolynomial:
     def test_arithmetic(self):

@@ -4,7 +4,10 @@ import shlex
 
 import pytest
 
-from qcong.cli import parse_tau, run
+from qcong import congruence, eta, hecke
+from qcong.basis import NotPolynomialError, PhiPolynomial
+from qcong.cli import UsageError, parse_tau, run
+from qcong.primes import PrimeContext
 
 
 def capture(capsys, argv):
@@ -139,6 +142,24 @@ class TestVerify:
         )
         assert code == 1 and "FAIL" in out
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("tau", ["0+0.1i", "0+0.01i"])
+    def test_cusp_residual_is_scale_free(self, capsys, p, tau):
+        # |p^(lam/2) phi(tau)| reaches 3e136 here, so an absolute residual
+        # of round-off alone would exceed the tolerance
+        code, out, _ = capture(capsys, ["verify", "cusp", "--p", str(p), "--tau", tau])
+        assert code == 0 and "PASS" in out
+
+    def test_cusp_scaled_residual_still_fails(self, capsys, monkeypatch):
+        code, out, _ = capture(
+            capsys, ["verify", "cusp", "--p", "2", "--tau", "0+0.1i", "--tol", "1e-300"]
+        )
+        assert code == 1 and "FAIL" in out
+        phi_eval = eta.phi_eval
+        monkeypatch.setattr(eta, "phi_eval", lambda ctx, tau: phi_eval(ctx, tau) * (1 + 1e-6))
+        code, out, _ = capture(capsys, ["verify", "cusp", "--p", "2", "--tau", "0+0.1i"])
+        assert code == 1 and "FAIL" in out
+
     def test_verify_rejects_level13(self, capsys):
         code, _, err = capture(capsys, ["verify", "modeq", "--p", "13", "--exploratory"])
         assert code == 2
@@ -146,6 +167,65 @@ class TestVerify:
     def test_too_low_precision_is_usage_error(self, capsys):
         code, _, err = capture(capsys, ["verify", "modeq", "--p", "2", "--precision", "4"])
         assert code == 2 and "precision" in err
+
+
+class TestVerifiersFail:
+    """Each verifier, fed one wrong input, exits 1 and prints its FAIL lines."""
+
+    def test_theorem2(self, capsys, monkeypatch):
+        bound = congruence.bound
+        monkeypatch.setattr(congruence, "bound", lambda ctx, d: bound(ctx, d) + 1000)
+        code, out, _ = capture(
+            capsys,
+            ["verify", "theorem2", "--p", "7", "--m-max", "3", "--d-max", "1",
+             "--n-max", "10", "--precision", "128"],
+        )
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[2].startswith("FAIL m=1 beta=1 n=1: v_7=")
+        assert sum(line.startswith("FAIL m=") for line in lines) == 5
+        assert lines[-1] == "FAIL (30 counterexamples)"
+
+    def test_closure_misses_delta(self, capsys, monkeypatch):
+        monkeypatch.setattr(PrimeContext, "delta", property(lambda self: 99))
+        code, out, _ = capture(
+            capsys, ["verify", "closure", "--p", "2", "--trials", "3", "--deg-max", "2"]
+        )
+        lines = out.splitlines()
+        assert code == 1 and "delta=99: 3 failures, FAIL" in lines[0]
+        assert [line.split(":")[0] for line in lines[1:]] == [f"FAIL trial {i}" for i in range(3)]
+        assert "(" not in out
+
+    @pytest.mark.parametrize("outcome, reason", [
+        ((1, PhiPolynomial()), "nonzero constant"),
+        (NotPolynomialError("deliberate residual", 5), "deliberate residual"),
+    ])
+    def test_closure_trial_errors(self, capsys, monkeypatch, outcome, reason):
+        def express(ctx, s, maxdeg):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(hecke, "express_in_phi", express)
+        code, out, _ = capture(
+            capsys, ["verify", "closure", "--p", "3", "--trials", "2", "--deg-max", "1"]
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == [f"FAIL trial {i}: t=None ({reason})" for i in range(2)]
+
+    def test_powersums(self, capsys, monkeypatch):
+        monkeypatch.setattr(hecke, "power_sum_target", lambda ctx, n: 10**6)
+        code, out, _ = capture(capsys, ["verify", "powersums", "--p", "5", "--n-max", "2"])
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[1].startswith("n=1: observed t=") and lines[1].endswith("required>=1000000 FAIL")
+        assert lines[-1] == "FAIL"
+
+    def test_modeq(self, capsys, monkeypatch):
+        monkeypatch.setitem(hecke.BJ_TABLE, 3, (30, 2916, 59048))
+        code, out, _ = capture(capsys, ["verify", "modeq", "--p", "3"])
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL (expected (30, 2916, 59048))"
 
 
 class TestTable:
@@ -379,7 +459,7 @@ README_EXAMPLES = {
         "efd0e270f3b099e0e97f8058ab851b3005ad0cd8534b05707757fab47ea25933",
     # the printed residual is round-off of the platform's complex exp
     "verify cusp --p 3 --tau '1/3+i'":
-        "abce9c82341fb7ae26d1bacb00d337b98c400a2b130d1b0636ff945c5bff56ac",
+        "72f5af37dce6d3493310cdecdb66c4bbadb7a5b2c2e970021b70ab8f0565b0ec",
     "table valuations --p 2 --rows 1,3,5,7 --cols 2,4,6,8,10,12 --with-j":
         "8fca2fb207d92013cb805fc69c375b8bd892b9d1e2dc5eadd93b260794244075",
     "table bj --p 3":
@@ -407,9 +487,27 @@ class TestParseTau:
         assert parse_tau("0.25") == complex(0.25, 0)
         assert parse_tau("1-2i") == complex(1, -2)
 
-    def test_rejects_garbage(self):
-        from qcong.cli import UsageError
+    @pytest.mark.parametrize("text, value", [
+        ("1/3+i", complex(1 / 3, 1)),
+        ("-i", -1j),
+        ("2i", 2j),
+        ("3", complex(3, 0)),
+        ("0+1e-3i", 0.001j),
+        ("1--2i", complex(1, 2)),  # a sign after a sign belongs to the imaginary part
+    ])
+    def test_table(self, text, value):
+        assert parse_tau(text) == value
 
+    @pytest.mark.parametrize("text, message", [
+        ("--2i", "cannot parse tau component '--2'"),
+        ("1e400+1i", "tau component '1e400' is beyond double range"),
+    ])
+    def test_table_usage_errors(self, text, message):
+        with pytest.raises(UsageError) as err:
+            parse_tau(text)
+        assert str(err.value) == message
+
+    def test_rejects_garbage(self):
         with pytest.raises(UsageError):
             parse_tau("")
         with pytest.raises(UsageError):

@@ -74,6 +74,94 @@ class TestAdd:
         assert (a + b).prec == 1
 
 
+def _loop_add(a, b):
+    """a + b in the former loop form, kept as the reference for the one-pass sum."""
+    if isinstance(b, (int, Fraction)):
+        if b == 0:
+            return a
+        b = QSeries([b], 0, max(a.prec, 0), a.ram)
+    a, b = a._aligned(b)
+    prec = min(a.prec, b.prec)
+    if a.is_zero() and b.is_zero():
+        return QSeries.zero(prec, a.ram)
+    val = min(a.val, b.val, prec + 1)
+    out = [0] * (prec - val + 1)
+    for s in (a, b):
+        for i, c in enumerate(s.coeffs):
+            e = s.val + i
+            if e > prec:
+                break
+            out[e - val] += c
+    return QSeries(out, val, prec, a.ram)
+
+
+def _loop_neg(a):
+    return QSeries([-c for c in a.coeffs], a.val, a.prec, a.ram)
+
+
+def _loop_u_op(a, p):
+    """U_p in the former per-exponent form."""
+    prec = a.prec // p
+    lo = -((-a.val) // p)
+    if lo > prec:
+        return QSeries.zero(prec)
+    out = [0] * (prec - lo + 1)
+    for e in range(lo * p, a.prec + 1, p):
+        out[e // p - lo] = a.coeff(e)
+    return QSeries(out, lo, prec)
+
+
+def _exact(s):
+    # equality that also tells int from Fraction
+    return s.ram, s.val, s.prec, [(type(c), c) for c in s.coeffs]
+
+
+class TestOnePassSum:
+    def _random_series(self, rng, ram):
+        coeffs = [
+            rng.choice([0, rng.randint(-9, 9), rng.randint(-10**30, 10**30),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+            for _ in range(rng.choice([0, rng.randint(1, 10)]))
+        ]
+        val = rng.randint(-6, 6)
+        # prec from val - 1 (zero to precision) up, so below the valuation too
+        return QSeries(coeffs, val, val + rng.randint(-1, 12), ram)
+
+    def test_matches_the_loop_forms(self):
+        rng = random.Random(10)
+        for _ in range(2000):
+            a = self._random_series(rng, rng.randint(1, 3))
+            b = self._random_series(rng, rng.choice([a.ram, rng.randint(1, 3)]))
+            c = rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+            cases = [
+                (a + b, _loop_add(a, b)),
+                (a - b, _loop_add(a, _loop_neg(b))),
+                (a + c, _loop_add(a, c)),
+                (a - c, _loop_add(a, -c)),
+                (c + a, _loop_add(a, c)),
+                (c - a, _loop_add(_loop_neg(a), c)),
+            ]
+            if a.ram == 1:
+                p = rng.randint(2, 7)
+                cases.append((a.u_op(p), _loop_u_op(a, p)))
+            for got, want in cases:
+                assert _exact(got) == _exact(want), (a, b, c)
+
+    def test_difference_builds_one_series(self, monkeypatch):
+        built = []
+        init = QSeries.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        a = series([1, -24, 276, -2048], val=-1)
+        b = series([3, 5, 7], val=0)
+        monkeypatch.setattr(QSeries, "__init__", spy)
+        a - b
+        assert len(built) == 1
+
+
 class TestMul:
     def test_shift_by_q(self):
         a = series([1, -24], val=-1)
