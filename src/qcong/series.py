@@ -11,23 +11,31 @@ Coefficients are Python ints wherever the values are integral, and
 non-integral input).  Both expose ``numerator``/``denominator`` and print and
 hash alike, so no code path needs to tell them apart.
 
-Multiplication clears denominators and runs an integer convolution, by one
-of three methods chosen from the operand sizes:
+Multiplication clears denominators and runs a truncated integer
+convolution: it returns only the coefficients that the product's precision
+determines, by one of three methods chosen from the operand sizes:
 
-- schoolbook, for short products;
+- schoolbook, for short products, over the pairs that reach a kept
+  coefficient;
 - binary Kronecker substitution, for longer products of moderate size: pack
   the coefficients into byte limbs of one big integer, multiply (CPython's
-  Karatsuba), unpack;
+  Karatsuba), unpack the kept limbs;
 - decimal Kronecker substitution, once the packed operand is large: limbs of
   10^k packed into ``decimal.Decimal`` values, whose multiply (libmpdec) is a
   number-theoretic transform, O(n log n) against Karatsuba's O(n^1.58).
+
+The Kronecker limb is sized for the kept coefficients only; the discarded
+ones may overflow it, since carries only run upward.  A square is packed
+once.
 """
 from __future__ import annotations
 
 import decimal
 import math
+import operator
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 # int <-> str conversions raise beyond this many digits (0: no limit); the
 # function exists from Python 3.10.7 on
@@ -61,34 +69,44 @@ def val_p(x, p: int):
 
 # ---------------------------------------------------------------------------
 # integer convolution kernel
+#
+# Each method returns the product coefficients c_0 .. c_{length-1} (by
+# default all of them) and reads no operand coefficient from index `length`
+# on, which reaches no kept c_k.  A square comes as one list, `b is a`.
 
 
-def _school_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+def _school_mul(a, b, length=None):
+    if length is None:
+        length = len(a) + len(b) - 1
+    out = [0] * length
+    for i, ai in enumerate(a[:length]):
         if ai:
-            for j, bj in enumerate(b):
+            for k, bj in enumerate(b[: length - i], i):
                 if bj:
-                    out[i + j] += ai * bj
+                    out[k] += ai * bj
     return out
 
 
-def _binary_kronecker(a, b, bits):
+def _binary_kronecker(a, b, bits, length=None):
     # pack into little-endian limbs of whole bytes, offset to be nonnegative
-    m = len(a) + len(b) - 1
+    m = len(a) + len(b) - 1 if length is None else length
     nbytes = (bits + 7) // 8
     half = 1 << (nbytes * 8 - 1)
     off_limb = b"\x00" * (nbytes - 1) + b"\x80"
 
     def pack(coeffs):
+        coeffs = coeffs[:m]
         buf = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
         return int.from_bytes(buf, "little") - int.from_bytes(
             off_limb * len(coeffs), "little"
         )
 
-    prod = pack(a) * pack(b)
+    x = pack(a)
+    prod = x * x if b is a else x * pack(b)
+    # the limbs from m on only carry upward: the low m limbs, read modulo
+    # 2^(8 nbytes m), are exact however far the discarded ones overflow
     shifted = prod + int.from_bytes(off_limb * m, "little")
-    raw = shifted.to_bytes(m * nbytes, "little")
+    raw = (shifted & ((1 << (8 * nbytes * m)) - 1)).to_bytes(m * nbytes, "little")
     return [
         int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - half
         for i in range(m)
@@ -106,11 +124,13 @@ _DEC = decimal.Context(
 
 
 def _decimal_pack(coeffs, digits):
-    """Digit string of sign * sum(c_i 10^(digits*i)) and the sign, taken from
-    the top nonzero coefficient so that the packed value is positive."""
+    """Packed Decimal of sign * sum(c_i 10^(digits*i)) and the sign, taken
+    from the top nonzero coefficient so that the packed value is positive."""
     top = len(coeffs)
-    while not coeffs[top - 1]:
+    while top and not coeffs[top - 1]:
         top -= 1
+    if not top:
+        return _DEC.create_decimal(0), 1
     sign = 1 if coeffs[top - 1] > 0 else -1
     base = 10**digits
     limbs = []
@@ -120,96 +140,126 @@ def _decimal_pack(coeffs, digits):
         borrow = c < 0
         limbs.append(c + base if borrow else c)
     fmt = f"0{digits}d"
-    return "".join([format(d, fmt) for d in reversed(limbs)]), sign
+    return _DEC.create_decimal("".join([format(d, fmt) for d in reversed(limbs)])), sign
 
 
-def _decimal_kronecker(a, b, digits):
+def _decimal_kronecker(a, b, digits, length=None):
     """Kronecker product in radix 10^digits, multiplied by libmpdec (a
-    number-theoretic transform for large operands).  Every product
+    number-theoretic transform for large operands).  Every kept product
     coefficient c must satisfy 2|c| < 10^digits, and a limb of `digits`
     digits must pass the int/str conversion limit."""
-    m = len(a) + len(b) - 1
-    sa, sign_a = _decimal_pack(a, digits)
-    da = _DEC.create_decimal(sa)
-    del sa
-    sb, sign_b = _decimal_pack(b, digits)
-    db = _DEC.create_decimal(sb)
-    del sb
-    prod = _DEC.to_sci_string(_DEC.multiply(da, db))
-    del da, db
-    nlimbs = -(-len(prod) // digits)
-    prod = prod.zfill(nlimbs * digits)
+    m = len(a) + len(b) - 1 if length is None else length
+    da, sign = _decimal_pack(a[:m], digits)
+    if b is a:
+        prod = _DEC.multiply(da, da)
+        sign = 1
+    else:
+        db, sign_b = _decimal_pack(b[:m], digits)
+        prod = _DEC.multiply(da, db)
+        sign *= sign_b
+        del db
+    del da
+    # the limbs from m on only carry upward: the last m limbs of the digit
+    # string are exact however far the discarded ones overflow
+    prod = _DEC.to_sci_string(prod).zfill(m * digits)
+    prod = prod[len(prod) - m * digits :]
     limbs = [int(prod[i : i + digits]) for i in range(0, len(prod), digits)]
     del prod
-    # balanced digits: a limb at or above half the radix is negative
+    # balanced digits: a limb at or above half the radix is negative; the
+    # final carry belongs to c_m, which is not kept
     base = 10**digits
     half = base // 2
-    sign = sign_a * sign_b
     out = []
     carry = 0
     for d in reversed(limbs):
         d += carry
         carry = d >= half
         out.append(sign * (d - base if carry else d))
-    if carry:  # the top limb was 0 - 1 after a borrow, so its digits are gone
-        out.append(sign)
-    return out + [0] * (m - len(out))
+    return out
 
 
-def _kronecker_mul(a, b):
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    if ma == 0 or mb == 0:
-        return [0] * (len(a) + len(b) - 1)
-    n = min(len(a), len(b))
-    # every product coefficient c has 4|c| < 2^bits
-    bits = ma.bit_length() + mb.bit_length() + n.bit_length() + 2
+def _limb_bits(a, b, length):
+    """Limb width, in bits, for a Kronecker product that keeps c_0 ..
+    c_{length-1}: 4|c_k| < 2^bits for every k < length.
+
+    Let B_j be the largest bit length among b_0..b_j.  A term a_i b_j of a
+    kept c_k has j <= j(i) = min(length-1-i, len(b)-1), so |a_i b_j| < 2^top,
+    top the largest bit_length(a_i) + B_j(i) over i; and c_k has at most
+    n = min(len(a), len(b), length) terms, so |c_k| < 2^(top + bit_length(n)).
+    The discarded coefficients may overflow the limb: carries only run
+    upward, and no method reads a limb from `length` on.  When every a_i and
+    b_j below `length` meets a nonzero coefficient of the other operand in a
+    kept c_k, each of them fits the limb too, being less than 2^(top-1)."""
+    bits_a = [c.bit_length() for c in a[:length]]
+    pb = list(accumulate(bits_a if b is a else [c.bit_length() for c in b[:length]], max))
+    na, nb = len(bits_a), len(pb)
+    # j(i) = len(b)-1 while i < length - len(b), and length-1-i from there on
+    split = min(max(length - nb, 0), na)
+    top = max(bits_a[:split]) + pb[-1] if split else 0
+    tail = map(operator.add, bits_a[split:], reversed(pb[length - na : length - split]))
+    top = max(top, max(tail, default=0))
+    return top + min(na, nb).bit_length() + 2
+
+
+def _kronecker_mul(a, b, length=None):
+    if length is None:
+        length = len(a) + len(b) - 1
+    # a_i reaches a kept c_k only through a nonzero b_j with j < length - i:
+    # drop the coefficients that reach none, which the limb need not hold
+    fa = next((i for i, c in enumerate(a) if c), len(a))
+    fb = fa if b is a else next((i for i, c in enumerate(b) if c), len(b))
+    if fa + fb >= length:
+        return [0] * length
+    square = b is a
+    a = a[: length - fb]
+    b = a if square else b[: length - fa]
+    bits = _limb_bits(a, b, length)
+    n = min(len(a), len(b), length)
     if n * bits >= _DECIMAL_CUTOFF:
         digits = bits * 30103 // 100000 + 1  # 10^digits > 2^bits
         limit = _int_max_str_digits()
         if not limit or digits <= limit:
-            return _decimal_kronecker(a, b, digits)
-    return _binary_kronecker(a, b, bits)
+            return _decimal_kronecker(a, b, digits, length)
+    return _binary_kronecker(a, b, bits, length)
 
 
-_SCHOOL_CUTOFF = 4096
-# smallest min(len(a), len(b)) * limb bits sent to the decimal radix: against
-# CPython's Karatsuba, libmpdec breaks even near 150 kbit and wins by 1.4x and
-# more from 200 kbit on
+# largest min(len(a), len(b), length) sent to schoolbook
+_SCHOOL_CUTOFF = 32
+# smallest min(len(a), len(b), length) * limb bits sent to the decimal radix:
+# against CPython's Karatsuba, libmpdec breaks even near 150 kbit and wins by
+# 1.4x and more from 200 kbit on
 _DECIMAL_CUTOFF = 200_000
 
 
-def mul_int_lists(a, b):
-    """Full convolution of two integer coefficient lists."""
+def mul_int_lists(a, b, length=None):
+    """Coefficients 0..length-1 (by default all) of the product of two
+    integer coefficient lists."""
     if not a or not b:
-        return []
-    if len(a) * len(b) <= _SCHOOL_CUTOFF:
-        return _school_mul(a, b)
-    return _kronecker_mul(a, b)
+        return [0] * (length or 0)
+    if length is None:
+        length = len(a) + len(b) - 1
+    if min(len(a), len(b), length) <= _SCHOOL_CUTOFF:
+        return _school_mul(a, b, length)
+    return _kronecker_mul(a, b, length)
 
 
-def mul_frac_lists(a, b):
-    """Full convolution of two rational (int or Fraction) coefficient lists;
-    an integral product is returned as ints."""
-    if not a or not b:
-        return []
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    na = [c.numerator * (da // c.denominator) for c in a]
-    nb = [c.numerator * (db // c.denominator) for c in b]
-    prod = mul_int_lists(na, nb)
+def mul_frac_lists(a, b, length=None):
+    """Coefficients 0..length-1 (by default all) of the product of two
+    rational (int or Fraction) coefficient lists; an integral product is
+    returned as ints."""
+
+    def cleared(coeffs):
+        coeffs = coeffs[:length]
+        d = math.lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+    na, da = cleared(a)
+    nb, db = (na, da) if b is a else cleared(b)
+    prod = mul_int_lists(na, nb, length)
     d = da * db
     if d == 1:
         return prod
     return [Fraction(c, d) for c in prod]
-
-
-def _mul_trunc(a, b, length):
-    prod = mul_frac_lists(a[:length], b[:length])
-    prod = prod[:length]
-    if len(prod) < length:
-        prod += [0] * (length - len(prod))
-    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +449,8 @@ class QSeries:
         val = a.val + b.val
         if a.is_zero() or b.is_zero():
             return QSeries.zero(prec, a.ram)
-        length = prec - val + 1
-        out = _mul_trunc(list(a.coeffs), list(b.coeffs), length)
+        # a square (self is other) reaches the kernel as one tuple
+        out = mul_frac_lists(a.coeffs, b.coeffs, prec - val + 1)
         return QSeries(out, val, prec, a.ram)
 
     def __rmul__(self, other):
@@ -426,9 +476,9 @@ class QSeries:
         t = 1
         while t < total:
             t2 = min(2 * t, total)
-            err = _mul_trunc(u, x, t2)
+            err = mul_frac_lists(u, x, t2)
             err[0] -= 1
-            corr = _mul_trunc(x, err, t2)
+            corr = mul_frac_lists(x, err, t2)
             x = [(x[i] if i < len(x) else 0) - corr[i] for i in range(t2)]
             t = t2
         return QSeries(x, -self.val, self.prec - 2 * self.val, self.ram)

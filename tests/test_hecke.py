@@ -204,9 +204,9 @@ class TestHPolyRelation:
         calls = []
         mul = series.mul_frac_lists
 
-        def counted(a, b):
+        def counted(a, b, *length):
             calls.append(len(a) * len(b))
-            return mul(a, b)
+            return mul(a, b, *length)
 
         monkeypatch.setattr(series, "mul_frac_lists", counted)
         assert verify_hpoly_relation(ctx, n) == residual

@@ -18,9 +18,13 @@ from qcong.series import (
     NotInvertibleError,
     PrecisionError,
     QSeries,
+    _binary_kronecker,
     _decimal_kronecker,
+    _kronecker_mul,
+    _limb_bits,
     _school_mul,
     agree,
+    mul_frac_lists,
     mul_int_lists,
     val_p,
 )
@@ -250,6 +254,7 @@ class TestKroneckerKernel:
         b = [rng.randint(-(2**400), 2**400) for _ in range(310)]
         assert 300 * 800 > _DECIMAL_CUTOFF
         assert mul_int_lists(a, b) == _school_mul(a, b)
+        assert mul_int_lists(a, b, 400) == _school_mul(a, b)[:400]
 
     def test_ignores_the_thread_local_decimal_context(self):
         rng = random.Random(14)
@@ -285,19 +290,113 @@ class TestKroneckerKernel:
             a[0], b[0] = 2**bits_a - 1, -(2**bits_b) + 1
             return a, b
 
-        side = math.isqrt(_SCHOOL_CUTOFF)
-        short = [rng.randint(-9, 9) for _ in range(side)]
+        # schoolbook while the shorter operand, or the kept length, has at
+        # most _SCHOOL_CUTOFF coefficients, however long the other is
+        short = [rng.randint(-9, 9) for _ in range(_SCHOOL_CUTOFF)]
+        long = [rng.randint(-9, 9) for _ in range(4096)]
         cases = [
-            ((short, short[::-1]), "_school_mul"),
-            (operands(at_cutoff - 1), "_binary_kronecker"),
-            (operands(at_cutoff), "_decimal_kronecker"),
+            ((short, long, None), "_school_mul"),
+            ((long, long, _SCHOOL_CUTOFF), "_school_mul"),
+            ((short + [1], short[::-1] + [1], None), "_binary_kronecker"),
+            ((*operands(at_cutoff - 1), None), "_binary_kronecker"),
+            ((*operands(at_cutoff), None), "_decimal_kronecker"),
         ]
         assert n * (at_cutoff - 1) < _DECIMAL_CUTOFF <= n * at_cutoff
-        for (a, b), method in cases:
+        for (a, b, length), method in cases:
             calls.clear()
-            product = mul_int_lists(a, b)
+            product = mul_int_lists(a, b, length)
             assert calls == [method]
-            assert product == _school_mul(a, b)
+            assert product == _school_mul(a, b, length)
+
+    def test_truncated_product_by_each_method(self):
+        # coefficients 0..length-1 of the product, for lengths below, at and
+        # above the full one; the two radices get a limb for the full product
+        rng = random.Random(17)
+        cases = []
+        for _ in range(12):
+            la, lb = rng.randint(1, 70), rng.randint(1, 70)
+            bits = rng.choice([1, 8, 64, 300])
+            a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
+            b = [rng.randint(-(2**bits), 2**bits) for _ in range(lb)]
+            a[-1] = a[-1] or 1
+            b[0] = b[0] or -1
+            cases += [
+                (a, b),
+                ([-abs(c) for c in a], [-abs(c) for c in b]),  # all negative
+                ([0, 0] + a + [0, 0, 0], [0] + b),  # low and high zeros
+                (a, [0] * lb),  # an all-zero operand, as invert's err can be
+                (a, a),  # a square, passed as one list
+            ]
+        for a, b in cases:
+            full = _school_mul(a, b)
+            digits = _limb_digits(a, b if any(b) else [1])
+            lengths = {1, len(a), len(full) - 1, len(full), len(full) + 3}
+            for length in lengths | {rng.randint(1, len(full))}:
+                want = (full + [0] * 3)[:length]
+                assert _school_mul(a, b, length) == want
+                assert _binary_kronecker(a, b, 4 * digits, length) == want
+                assert _decimal_kronecker(a, b, digits, length) == want
+                assert _kronecker_mul(a, b, length) == want
+                assert mul_int_lists(a, b, length) == want
+
+    def test_discarded_coefficients_may_overflow_the_limb(self):
+        # small low coefficients and huge top ones: the kept coefficients fit
+        # a limb about half as wide as the full product's, and the discarded
+        # ones, up to 2^4000, overflow it
+        rng = random.Random(18)
+        n = 60
+        a = [rng.randint(-9, 9) for _ in range(n)] + [2**2000]
+        b = [rng.randint(-9, 9) for _ in range(n)] + [-(2**2000) + 1]
+        for x, y in [(a, b), (a, a)]:
+            full = _school_mul(x, y)
+            length = n + 1
+            bits = _limb_bits(x, y, length)
+            assert bits < _limb_bits(x, y, len(full)) // 2 + 16
+            assert 4 * max(map(abs, full[:length])) < 2**bits
+            assert max(map(abs, full[length:])) >= 2**bits
+            digits = bits * 30103 // 100000 + 1
+            assert _binary_kronecker(x, y, bits, length) == full[:length]
+            assert _decimal_kronecker(x, y, digits, length) == full[:length]
+            assert _kronecker_mul(x, y, length) == full[:length]
+
+    def test_coefficients_reaching_no_kept_one_are_not_packed(self, monkeypatch):
+        # 2^5000 sits below the kept length, but meets only zeros of b there
+        limbs = []
+        binary = qcong.series._binary_kronecker
+
+        def spy(a, b, bits, length=None):
+            limbs.append(bits)
+            return binary(a, b, bits, length)
+
+        monkeypatch.setattr(qcong.series, "_binary_kronecker", spy)
+        a = [3] * 40 + [2**5000] + [1] * 40
+        b = [0] * 41 + [5] * 40
+        assert _kronecker_mul(a, b, 81) == _school_mul(a, b)[:81]
+        assert limbs == [_limb_bits(a[:40], b, 81)] and limbs[0] < 32
+
+    def test_truncated_rational_product(self):
+        rng = random.Random(19)
+        a = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(50)]
+        b = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(40)]
+        for x, y in [(a, b), (a, a), ([2, 4, 6], [Fraction(1, 2)] * 45)]:
+            full = _school_mul(x, y)
+            for length in (1, 30, len(full), len(full) + 2):
+                assert mul_frac_lists(x, y, length) == (full + [0, 0])[:length]
+
+    def test_square_reaches_the_kernel_as_one_list(self, monkeypatch):
+        seen = []
+        kernel = qcong.series.mul_int_lists
+
+        def spy(a, b, length=None):
+            seen.append(a is b)
+            return kernel(a, b, length)
+
+        monkeypatch.setattr(qcong.series, "mul_int_lists", spy)
+        s = series([1, -24, 252, -1472, 4830], val=-1)
+        t = series([1, 2, 3, 4, 5], val=-1)
+        assert s * s == s**2
+        assert s * t == t * s
+        assert seen == [True, True, False, False]
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
@@ -506,6 +605,32 @@ def test_coeff_beyond_precision_raises():
     a = series([1, 2], val=0)
     with pytest.raises(PrecisionError):
         a.coeff(5)
+
+
+class TestInputChecks:
+    """Each check on a caller's input rejects it through the public API."""
+
+    def test_series_are_immutable(self):
+        a = series([1, 2], val=-1)
+        for name, value in [("val", 0), ("prec", 9), ("coeffs", (5,)), ("other", 1)]:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(a, name, value)
+        assert a == series([1, 2], val=-1)
+
+    @pytest.mark.parametrize("t", [0, -2])
+    def test_dilate_factor_below_one(self, t):
+        with pytest.raises(ValueError, match="dilation factor"):
+            series([1, 2], val=-1).dilate(t)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_a_zero_scalar(self, zero):
+        with pytest.raises(ZeroDivisionError, match="by zero"):
+            series([1, 2], val=-1) / zero
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_u_op_below_two(self, p):
+        with pytest.raises(ValueError, match="p >= 2"):
+            series([1, 0, 3], val=-1).u_op(p)
 
 
 def test_zero_representation():
