@@ -8,7 +8,6 @@ linear solve.  The family and the powers of phi are tables grown on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .eta import phi, psi
 from .primes import PrimeContext
@@ -24,29 +23,28 @@ class NotPolynomialError(ValueError):
 
 
 class PhiPolynomial:
-    """A polynomial in the reciprocal Hauptmodul with exact coefficients."""
+    """A polynomial in the reciprocal Hauptmodul: int degrees >= 0 and int
+    coefficients (any other type raises ``TypeError``)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for k, c in dict(coeffs).items():
-                c = c if type(c) in (int, Fraction) else Fraction(c)
-                if c:
-                    if k < 0:
-                        raise ValueError("negative degrees are not allowed")
-                    self.coeffs[int(k)] = c
+        coeffs = dict(coeffs or ())
+        if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
+            raise TypeError("phi-polynomial degrees and coefficients must be int")
+        if coeffs and min(coeffs) < 0:
+            raise ValueError("negative degrees are not allowed")
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     @property
-    def constant(self) -> int | Fraction:
+    def constant(self) -> int:
         return self.coeffs.get(0, 0)
 
     @property
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def __getitem__(self, k: int) -> int | Fraction:
+    def __getitem__(self, k: int) -> int:
         return self.coeffs.get(k, 0)
 
     def __bool__(self):
@@ -83,11 +81,11 @@ class PhiPolynomial:
         return PhiPolynomial({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return PhiPolynomial({k: c * other for k, c in self.coeffs.items()})
         if not isinstance(other, PhiPolynomial):
             return NotImplemented
-        out: dict[int, int | Fraction] = {}
+        out: dict[int, int] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
@@ -154,7 +152,7 @@ def _eliminate(s: QSeries, powers, degrees):
     """Clear the leading term of each monic powers[k] from s, in the order
     of degrees, one series per cleared term; returns the residual and
     {k: c} with s = residual + sum c * powers[k]."""
-    coeffs: dict[int, int | Fraction] = {}
+    coeffs = {}
     for k in degrees:
         c = s.coeff(powers[k].val)
         if c:
@@ -230,7 +228,8 @@ def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
     s must know maxdeg + 8 coefficients (else ``PrecisionError``); the powers
     of phi come from the shared ``phi_powers`` table.  Succeeds only if the
     residual is zero to the precision of s; the first surviving exponent is
-    reported otherwise.
+    reported otherwise.  ``PhiPolynomial`` takes ints only, so where s has a
+    Fraction coefficient and a nonconstant polynomial, this raises ``TypeError``.
     """
     if s.ram != 1:
         raise ValueError("express_in_phi requires an unramified series")

@@ -304,16 +304,17 @@ def _cusp(args, ctx):
 
 def _parse_int_list(text: str, what: str):
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse {what} list {text!r}") from exc
+    if not values:
+        raise UsageError(f"--{what} must list at least one integer")
+    return values
 
 
 def _valuations(args, ctx):
     ms = _parse_int_list(args.rows, "rows")
     ns = _parse_int_list(args.cols, "cols")
-    if not ms or not ns:
-        raise UsageError("rows and cols must be nonempty")
     if min(ns) < 0:
         raise UsageError(f"--cols takes coefficient indices n >= 0, got {min(ns)}")
     table = congruence.valuation_table(ctx, ms, ns, include_j=args.with_j)

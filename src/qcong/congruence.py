@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .basis import basis_family, express_in_phi, phi_powers
 from .eta import _expansion, euler_product
@@ -30,7 +29,7 @@ class CongruenceCase:
     observed: object  # valuation; math.inf for a zero coefficient
     required: int
     ok: bool
-    value: int | Fraction | None = None  # populated only for failing cases
+    value: int | None = None  # populated only for failing cases
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def scan_phi_powers(ctx: PrimeContext, pow_max: int, d_max: int, n_max: int):
 class UpStepDecomposition:
     ctx: PrimeContext
     m: int
-    constant: int | Fraction
+    constant: int
     lower_pole_order: int | None  # m/p when p | m, else None
     degree_valuations: dict  # phi-degree -> valuation
     floors: dict  # phi-degree -> predicted floor lam*i/2 - 1

@@ -6,10 +6,11 @@ its precision bound ``prec`` (both inclusive, in ``w``-units where
 pessimistically so that an operation never emits a coefficient its inputs do
 not determine.
 
-Coefficients are Python ints wherever the values are integral, and
-``fractions.Fraction`` only where a denominator arises (a division, or a
+Coefficients are exact: Python ints wherever the values are integral, and
+``fractions.Fraction`` only where a denominator arises (an inversion, or a
 non-integral input).  Both expose ``numerator``/``denominator`` and print and
-hash alike, so no code path needs to tell them apart.
+hash alike, so no code path needs to tell them apart.  Any other coefficient
+type (float, bool, Decimal, ...) raises ``TypeError``.
 
 Multiplication clears denominators and runs a truncated integer
 convolution: it returns only the coefficients that the product's precision
@@ -273,7 +274,9 @@ class QSeries:
     def __init__(self, coeffs, val: int = 0, prec: int | None = None, ram: int = 1):
         if ram < 1:
             raise ValueError("ramification index must be positive")
-        coeffs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
+        if not set(map(type, coeffs)) <= {int, Fraction}:
+            raise TypeError("series coefficients must be int or Fraction")
         if prec is None:
             prec = val + len(coeffs) - 1
         if prec < val - 1:
@@ -455,15 +458,6 @@ class QSeries:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            return self.__mul__(Fraction(1, other))
-        if isinstance(other, QSeries):
-            return self.__mul__(other.invert())
-        return NotImplemented
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse to the determined precision (Newton iteration)."""

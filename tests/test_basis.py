@@ -88,6 +88,11 @@ def reference_family(ctx, m_max, n):
     return out
 
 
+def test_basis_family_rejects_negative_pole_order():
+    with pytest.raises(ValueError, match="m_max must be nonnegative"):
+        basis_family(C2, -1, 8)
+
+
 class TestFaberRecurrence:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_elimination_against_psi_powers(self, p):
@@ -203,6 +208,21 @@ class TestExpressInPhi:
             express_in_phi(C2, s, 2)
         assert err.value.failing_exponent >= 1
 
+    def test_fraction_coefficient_raises(self):
+        # each is a polynomial in phi, but not over the integers
+        sq = (phi(C2, 32) ** 2).truncate(30)
+        for s in ((sq + 1) * Fraction(1, 2), sq + Fraction(1, 2)):
+            with pytest.raises(TypeError, match="must be int"):
+                express_in_phi(C2, s, 2)
+
+    def test_rejects_ramified_input(self):
+        with pytest.raises(ValueError, match="unramified"):
+            express_in_phi(C2, phi(C2, 32).ramify(2), 2)
+
+    def test_rejects_maxdeg_below_one(self):
+        with pytest.raises(ValueError, match="maxdeg must be positive"):
+            express_in_phi(C2, phi(C2, 32), 0)
+
 
 class TestExpressInPsi:
     def test_constant_only(self):
@@ -214,6 +234,14 @@ class TestExpressInPsi:
         ph = phi(C2, 26)
         with pytest.raises(NotPolynomialError):
             express_in_psi(C2, ps + ph, 1)
+
+    def test_rejects_ramified_input(self):
+        with pytest.raises(ValueError, match="unramified"):
+            express_in_psi(C2, psi(C2, 24).ramify(2), 1)
+
+    def test_rejects_valuation_below_minus_maxdeg(self):
+        with pytest.raises(ValueError, match="below -maxdeg"):
+            express_in_psi(C2, psi(C2, 24) ** 3, 2)
 
     def test_unknown_constant_raises(self):
         # f_3 known to q^-1 does not determine its constant, which is cleared
@@ -249,6 +277,25 @@ class TestPhiPolynomial:
         assert a.degree == 2
         assert a.constant == 0
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{1: Fraction(1, 2)}, {1: Fraction(2)}, {1: 0.5}, {1: True}, {1.5: 3}, {True: 3}, {1.0: 0}],
+        ids=["fraction", "integral-fraction", "float", "bool", "float-degree", "bool-degree",
+             "float-degree-zero-coefficient"],
+    )
+    def test_non_int_input_raises(self, coeffs):
+        with pytest.raises(TypeError, match="must be int"):
+            PhiPolynomial(coeffs)
+
+    @pytest.mark.parametrize("coeff", [1, 0])
+    def test_negative_degree_raises(self, coeff):
+        with pytest.raises(ValueError, match="negative degrees"):
+            PhiPolynomial({-1: coeff})
+
+    def test_scalar_other_than_int_is_refused(self):
+        with pytest.raises(TypeError):
+            PhiPolynomial({1: 2}) * Fraction(1, 2)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_evaluate_matches_horner(self, p):
         def horner(poly, series):
@@ -264,8 +311,7 @@ class TestPhiPolynomial:
         polys = [PhiPolynomial(), PhiPolynomial({0: 5}), PhiPolynomial({3: -2})]
         for _ in range(40):
             deg = rng.randint(1, 8)
-            coeffs = {k: rng.choice([0, 0, rng.randint(-50, 50), Fraction(rng.randint(-9, 9), 7)])
-                      for k in range(1, deg + 1)}
+            coeffs = {k: rng.choice([0, 0, rng.randint(-50, 50)]) for k in range(1, deg + 1)}
             polys.append(PhiPolynomial(coeffs))
             polys.append(PhiPolynomial(coeffs | {0: rng.randint(1, 99)}))
         for n in (24, 37):

@@ -350,6 +350,9 @@ class TestUsageErrors:
             "verify cusp --tau 0+1e5i",
             "verify cusp --tau 0+1e400i",
             "verify cusp --tau 1e400+1i",
+            "expand --basis -1",
+            "table valuations --rows ,",
+            "table valuations --cols ,",
         ],
         ids=["trials-0", "deg-max-0", "m-max-negative", "lehner-m-not-below-p",
              "tau-lower-half-plane", "d-max-negative", "theorem2-n-max-0",
@@ -365,7 +368,8 @@ class TestUsageErrors:
              "flag-before-target", "table-flag-before-target", "cusp-tol-0", "cusp-tol-negative", "cusp-tol-nan",
              "lehner-n-max-beyond-precision", "theorem2-n-max-beyond-precision",
              "cusp-eta-underflows-small-tau", "cusp-eta-underflows-tiny-tau",
-             "cusp-eta-underflows-large-tau", "cusp-imag-overflows", "cusp-real-overflows"],
+             "cusp-eta-underflows-large-tau", "cusp-imag-overflows", "cusp-real-overflows",
+             "expand-basis-negative", "valuations-rows-empty", "valuations-cols-empty"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
         code, out, err = capture(capsys, argv.split())
@@ -376,6 +380,12 @@ class TestUsageErrors:
         code, out, err = capture(capsys, "table valuations --cols -3".split())
         assert code == 2 and out == ""
         assert err == "error: --cols takes coefficient indices n >= 0, got -3\n"
+
+    @pytest.mark.parametrize("flag", ["--rows", "--cols"])
+    def test_empty_list_names_the_flag(self, capsys, flag):
+        code, out, err = capture(capsys, ["table", "valuations", flag, " , "])
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must list at least one integer\n"
 
     def test_bad_tolerance_names_the_flag(self, capsys):
         code, out, err = capture(capsys, "verify cusp --p 3 --tol 0".split())

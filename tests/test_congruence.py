@@ -109,6 +109,10 @@ class TestJSeries:
         assert j.coeff(1) == 196884
         assert j.coeff(2) == 21493760
 
+    def test_rejects_negative_precision(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            j_series(-1)
+
     def test_two_routes_agree(self):
         assert agree(j_series(200), j_series_alt(200))
 
@@ -182,6 +186,11 @@ class TestDecomposeUpStep:
         dec = decompose_up_step(PrimeContext(2), 2)
         assert dec.lower_pole_order == 1
         assert dec.ok
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_pole_order_below_one(self, m):
+        with pytest.raises(ValueError, match="m must be positive"):
+            decompose_up_step(PrimeContext(2), m)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_floors_hold_for_small_orders(self, p):

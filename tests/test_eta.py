@@ -36,6 +36,20 @@ def brute_partitions(n):
     return parts
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: euler_product(-1), "nonnegative"),
+        (lambda: psi(PrimeContext(2), -1), "nonnegative"),
+        (lambda: phi(PrimeContext(2), 0), "at least 1"),
+    ],
+    ids=["euler-product", "psi", "phi"],
+)
+def test_precision_below_the_minimum_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestEulerProduct:
     def test_matches_bruteforce_product(self):
         e = euler_product(40)
@@ -162,3 +176,9 @@ def test_exploratory_level_13():
         _ = ctx.delta
     with pytest.raises(ValueError):
         PrimeContext(13)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_gamma_below_degree_one_raises(k):
+    with pytest.raises(ValueError, match="degrees k >= 1"):
+        PrimeContext(2).gamma(k)

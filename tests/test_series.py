@@ -1,5 +1,6 @@
 import decimal
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -590,15 +591,27 @@ class TestCoefficientTypes:
     def test_denominators_give_fractions_not_floats(self):
         inv = QSeries([2, 1]).invert()
         assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4))
-        half = QSeries([3, 1]) / 2
-        assert half.coeffs == (Fraction(3, 2), Fraction(1, 2))
-        for s in (inv, half):
-            assert all(type(c) is Fraction for c in s.coeffs)
+        assert all(type(c) is Fraction for c in inv.coeffs)
 
-    def test_other_inputs_are_converted_to_fraction(self):
-        s = QSeries([0.5, True])
-        assert s.coeffs == (Fraction(1, 2), 1)
-        assert all(type(c) is Fraction for c in s.coeffs)
+    def test_int_and_fraction_are_kept_as_given(self):
+        s = QSeries([Fraction(1, 2), 3, Fraction(4)])
+        assert [type(c) for c in s.coeffs] == [Fraction, int, Fraction]
+
+    @pytest.mark.parametrize(
+        "coeffs", [[0.5], [True], [1, 2.0], [decimal.Decimal(1)], [1, 1j]],
+        ids=["float", "bool", "float-after-int", "decimal", "complex"],
+    )
+    def test_inexact_input_raises(self, coeffs):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            QSeries(coeffs)
+
+    def test_scalars_other_than_int_or_fraction_are_refused(self):
+        a = series([1, 2], val=-1)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, 0.5)
+        with pytest.raises(TypeError):
+            a / 2
 
 
 def test_coeff_beyond_precision_raises():
@@ -622,10 +635,15 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="dilation factor"):
             series([1, 2], val=-1).dilate(t)
 
-    @pytest.mark.parametrize("zero", [0, Fraction(0)])
-    def test_division_by_a_zero_scalar(self, zero):
-        with pytest.raises(ZeroDivisionError, match="by zero"):
-            series([1, 2], val=-1) / zero
+    @pytest.mark.parametrize("e", [0, -2])
+    def test_ramification_factor_below_one(self, e):
+        with pytest.raises(ValueError, match="ramification factor"):
+            series([1, 2], val=-1).ramify(e)
+
+    @pytest.mark.parametrize("ram", [0, -1])
+    def test_ramification_index_below_one(self, ram):
+        with pytest.raises(ValueError, match="ramification index"):
+            QSeries([1], ram=ram)
 
     @pytest.mark.parametrize("p", [1, 0, -3])
     def test_u_op_below_two(self, p):
