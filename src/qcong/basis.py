@@ -3,13 +3,13 @@
 Basis elements q^{-m} + O(1) are built by the Faber recurrence: the principal
 part of psi * f_m is cleared greedily against f_m, ..., f_1, each of which has
 the single pole term q^{-k}, so the reduction is triangular and never needs a
-linear solve.  The family and the powers of phi are tables grown on demand.
+linear solve.  Each f_m and each power of phi is kept in the store of ``eta``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .eta import phi, psi
+from .eta import _longest, phi, psi
 from .primes import PrimeContext
 from .series import PrecisionError, QSeries
 
@@ -120,6 +120,10 @@ class BasisElement:
     series: QSeries
     psi_poly: dict = field(default_factory=dict)  # degree -> int, monic, no constant
 
+    @property
+    def prec(self) -> int:
+        return self.series.prec
+
 
 def _powers(t: QSeries, k: int, prec: int) -> list:
     """t^0 .. t^k of a Hauptmodul t, each truncated at precision prec."""
@@ -129,23 +133,19 @@ def _powers(t: QSeries, k: int, prec: int) -> list:
     return powers[: k + 1]
 
 
-_phi_tables: dict = {}  # level -> [phi^0, phi^1, ...]
-
-
 def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
-    """phi^0 .. phi^k, each truncated at precision n, read from the table at
-    this level.  Only entries shorter than n are rebuilt, as phi^(i-1) * phi
-    with phi at n, and each keeps the precision that product determines,
-    n + i - 1.  So a later request at n + j for the powers above phi^j, as
-    ``PhiPolynomial.evaluate`` makes, is served without a product.  A power
-    whose valuation k lies beyond n is zero to precision n."""
+    """phi^0 .. phi^k, each truncated at precision n, read from the shared
+    store, where each power is kept on its own.  Only powers shorter than n
+    are rebuilt, as phi^(i-1) * phi with phi at n, and each keeps the
+    precision that product determines, n + i - 1.  So a later request at
+    n + j for the powers above phi^j, as ``PhiPolynomial.evaluate`` makes,
+    is served without a product.  A power whose valuation k lies beyond n
+    is zero to precision n."""
     ph = phi(ctx, n)
-    table = _phi_tables.setdefault(ctx, [])
-    for i in range(k + 1):
-        if i == len(table) or table[i].prec < n:
-            t = table[i - 1] * ph if i > 1 else ph if i else QSeries.one(n)
-            table[i : i + 1] = [t]  # replaces entry i, or appends it
-    return tuple(t.truncate(n) if t.val <= n else QSeries.zero(n) for t in table[: k + 1])
+    kept = [_longest(("phi^", ctx, 0), n, lambda: QSeries.one(n))]
+    for i in range(1, k + 1):
+        kept.append(_longest(("phi^", ctx, i), n, lambda: kept[-1] * ph if i > 1 else ph))
+    return tuple(t.truncate(n) if t.val <= n else QSeries.zero(n) for t in kept[: k + 1])
 
 
 def _eliminate(s: QSeries, powers, degrees):
@@ -182,23 +182,17 @@ def _faber_step(ps: QSeries, fam: list) -> BasisElement:
     return BasisElement(ctx, m, r, {d: e for d, e in poly.items() if e})
 
 
-_families: dict = {}  # level -> [None, f_1, f_2, ...]
-
-
 def basis_family(ctx: PrimeContext, m_max: int, n: int):
     """Basis elements for pole orders 0..m_max, f_m known to n + m_max - m,
-    read from the family at this level.  Each f_m there stays at the longest
-    precision asked of it, and only entries shorter than asked are rebuilt."""
+    read from the shared store.  Each f_m there stays at the longest
+    precision asked of it, and only those shorter than asked are rebuilt."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     out = [BasisElement(ctx, 0, QSeries.one(n), {})]
     prec = n + m_max - 1  # of psi; f_m is known to prec - m + 1
     ps = psi(ctx, prec) if m_max else None
-    table = _families.setdefault(ctx, [None])
     for m in range(1, m_max + 1):
-        if m == len(table) or table[m].series.prec < prec - m + 1:
-            table[m : m + 1] = [_faber_step(ps, out)]  # replaces f_m, or appends it
-        e = table[m]
+        e = _longest(("f", ctx, m), prec - m + 1, lambda: _faber_step(ps, out))
         out.append(BasisElement(ctx, m, e.series.truncate(prec - m + 1), e.psi_poly))
     return tuple(out)
 
@@ -228,8 +222,9 @@ def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
     s must know maxdeg + 8 coefficients (else ``PrecisionError``); the powers
     of phi come from the shared ``phi_powers`` table.  Succeeds only if the
     residual is zero to the precision of s; the first surviving exponent is
-    reported otherwise.  ``PhiPolynomial`` takes ints only, so where s has a
-    Fraction coefficient and a nonconstant polynomial, this raises ``TypeError``.
+    reported otherwise.  The constant and the ``PhiPolynomial`` are ints
+    only, so where either would have a Fraction coefficient, this raises
+    ``TypeError``.
     """
     if s.ram != 1:
         raise ValueError("express_in_phi requires an unramified series")
@@ -245,6 +240,8 @@ def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
         s, phi_powers(ctx, maxdeg, s.prec), range(maxdeg + 1),
         f"phi-polynomial of degree <= {maxdeg}",
     )
+    if type(constant) is not int:
+        raise TypeError("the constant of a phi-polynomial must be int")
     return constant, PhiPolynomial(coeffs)
 
 

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import traceback
 from fractions import Fraction
@@ -96,11 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _precision(args, minimum: int = 16, default: int | None = 256) -> int | None:
-    if args.precision is not None:
-        prec = args.precision
-    else:
-        env = os.environ.get("QCONG_PRECISION")
-        prec = int(env) if env else default
+    prec = default if args.precision is None else args.precision
     if prec is not None and prec < minimum:
         raise UsageError(f"precision must be at least {minimum}")
     return prec

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .basis import basis_family, express_in_phi, phi_powers
-from .eta import _expansion, euler_product
+from .eta import _longest, euler_product
 from .primes import PrimeContext
 from .series import QSeries, val_p
 
@@ -132,7 +132,7 @@ def eisenstein(weight: int, n: int) -> QSeries:
     return QSeries(coeffs, 0, n)
 
 
-def _build_j(_, n: int) -> QSeries:
+def _build_j(n: int) -> QSeries:
     e4 = eisenstein(4, n + 2)
     delta_unit = euler_product(n + 2) ** 24
     out = (e4**3 * delta_unit.invert()).shift(-1)
@@ -145,7 +145,7 @@ def j_series(n: int) -> QSeries:
     """The classical q-expansion q^{-1} + 744 + 196884 q + ..."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _expansion(_build_j, None, n)
+    return _longest("j", n, lambda: _build_j(n)).truncate(n)
 
 
 def j_series_alt(n: int) -> QSeries:

@@ -33,18 +33,20 @@ def euler_product(n: int) -> QSeries:
     return QSeries(coeffs, 0, n)
 
 
-_built: dict = {}  # (builder, level) -> the longest expansion built
+_kept: dict = {}  # key -> the longest value built under it
 
 
-def _expansion(build, level, n: int) -> QSeries:
-    """The expansion build(level, n) to precision n, read off the longest one
-    built at this level: a shorter expansion is a truncation of a longer
-    one, so only a request beyond it builds again.  A builder returns every
-    coefficient its inputs determine, which may reach beyond n."""
-    out = _built.get((build, level))
+def _longest(key, n: int, build):
+    """The value kept under key, or build() kept in its place when the kept
+    one is not known to precision n.  Every per-level table (psi, phi, j,
+    the powers of phi, the basis family) is kept here by this one rule: a
+    shorter value is a truncation of a longer one, so only a request beyond
+    it builds again.  A builder returns every coefficient its inputs
+    determine, which may reach beyond n."""
+    out = _kept.get(key)
     if out is None or out.prec < n:
-        out = _built[build, level] = build(level, n)
-    return out.truncate(n)
+        out = _kept[key] = build()
+    return out
 
 
 def _build_psi(ctx: PrimeContext, n: int) -> QSeries:
@@ -62,7 +64,7 @@ def psi(ctx: PrimeContext, n: int) -> QSeries:
     """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _expansion(_build_psi, ctx, n)
+    return _longest(("psi", ctx), n, lambda: _build_psi(ctx, n)).truncate(n)
 
 
 def _build_phi(ctx: PrimeContext, n: int) -> QSeries:
@@ -76,7 +78,7 @@ def phi(ctx: PrimeContext, n: int) -> QSeries:
     """The reciprocal Hauptmodul q + O(q^2)."""
     if n < 1:
         raise ValueError("precision must be at least 1")
-    return _expansion(_build_phi, ctx, n)
+    return _longest(("phi", ctx), n, lambda: _build_phi(ctx, n)).truncate(n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcong import basis
+from qcong import basis, eta
 from qcong.basis import (
     NotPolynomialError,
     PhiPolynomial,
@@ -107,7 +107,7 @@ class TestFaberRecurrence:
                 assert fam[m].psi_poly == poly
 
     def test_shorter_family_reads_the_grown_table(self, monkeypatch):
-        monkeypatch.setattr(basis, "_families", {})
+        monkeypatch.setattr(eta, "_kept", {})
         grown = basis_family(C2, 6, 40)  # psi precision 45
 
         def no_faber_step(*args):
@@ -145,7 +145,7 @@ class TestPhiPowers:
         # the closure trials ask for a few powers at a long precision, then
         # for many at a short one: only the entries too short are rebuilt
         ctx = PrimeContext(7)
-        monkeypatch.setattr(basis, "_phi_tables", {})
+        monkeypatch.setattr(eta, "_kept", {})
         for k, n in ((4, 300), (28, 44), (7, 128)):
             table = phi_powers(ctx, k, n)
             assert len(table) == k + 1 and table[0] == QSeries.one(n)
@@ -153,13 +153,13 @@ class TestPhiPowers:
                 assert table[i] == (phi(ctx, n) ** i).truncate(n)
         # phi^i built at a request for n keeps the precision of its product
         asked = [300] * 5 + [128] * 3 + [44] * 21
-        precs = [t.prec for t in basis._phi_tables[ctx]]
+        precs = [eta._kept["phi^", ctx, i].prec for i in range(29)]
         assert precs == [n + max(i - 1, 0) for i, n in enumerate(asked)]
 
     def test_shifted_request_multiplies_nothing(self, monkeypatch):
         # evaluate reads the table at n + j when phi^(j+1) is the lowest power;
         # the entries above phi^j built at n already reach that far
-        monkeypatch.setattr(basis, "_phi_tables", {})
+        monkeypatch.setattr(eta, "_kept", {})
         ph = phi(C2, 64).truncate(40)
         phi_powers(C2, 4, 40)
         want = (ph**2 + 3 * ph**4).truncate(41)
@@ -214,6 +214,14 @@ class TestExpressInPhi:
         for s in ((sq + 1) * Fraction(1, 2), sq + Fraction(1, 2)):
             with pytest.raises(TypeError, match="must be int"):
                 express_in_phi(C2, s, 2)
+
+    def test_fraction_constant_raises(self):
+        # the constant keeps the int-only contract of the polynomial beside it
+        assert express_in_phi(C2, QSeries([3], 0, 20), 4) == (3, PhiPolynomial())
+        for c in (Fraction(1, 2), Fraction(2)):
+            for s in (QSeries([c], 0, 20), phi(C2, 20) + c):
+                with pytest.raises(TypeError, match="must be int"):
+                    express_in_phi(C2, s, 4)
 
     def test_rejects_ramified_input(self):
         with pytest.raises(ValueError, match="unramified"):

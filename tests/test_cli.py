@@ -56,16 +56,20 @@ class TestExpand:
         assert out.endswith("\r\n")
 
     def test_precision_env_fallback(self, capsys, monkeypatch):
+        # precision is set by --precision alone: the environment changes nothing
+        default = capture(capsys, ["expand", "--p", "2", "--psi"])
         monkeypatch.setenv("QCONG_PRECISION", "2")
-        code, out, _ = capture(capsys, ["expand", "--p", "2", "--psi"])
-        assert code == 0
-        assert "11202" not in out  # precision 2 stops before the q^3 term
+        assert capture(capsys, ["expand", "--p", "2", "--psi"]) == default
+        assert default[0] == 0 and "11202" in default[1]
+        monkeypatch.setenv("QCONG_PRECISION", "3")  # once below modeq's minimum
+        assert capture(capsys, ["verify", "modeq", "--p", "2"])[0] == 0
 
     def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCONG_PRECISION", "2")
-        code, out, _ = capture(capsys, ["expand", "--p", "2", "--psi", "--precision", "3"])
-        assert code == 0
-        assert "11202" in out
+        argv = ["expand", "--p", "2", "--psi", "--precision", "3"]
+        flag_only = capture(capsys, argv)
+        monkeypatch.setenv("QCONG_PRECISION", "abc")
+        assert capture(capsys, argv) == flag_only
+        assert flag_only[0] == 0 and "11202" in flag_only[1]
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "psi.json"
@@ -392,28 +396,21 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err == "error: --tol must be a positive finite number, got 0\n"
 
-    def test_lehner_reads_the_precision_env(self, capsys, monkeypatch):
+    def test_lehner_reads_the_precision_env(self, capsys):
         argv = ["verify", "lehner", "--p", "5", "--m", "1"]
-        monkeypatch.setenv("QCONG_PRECISION", "8")
-        code, out, err = capture(capsys, argv)
+        code, out, err = capture(capsys, argv + ["--precision", "8"])
         assert code == 2 and out == "" and "precision must be at least 16" in err
-        monkeypatch.setenv("QCONG_PRECISION", "16")
-        from_env = capture(capsys, argv)
-        monkeypatch.delenv("QCONG_PRECISION")
-        assert from_env == capture(capsys, argv + ["--precision", "16"])
-        # without an override the precision follows from n_max = 32
-        assert from_env != capture(capsys, argv)
+        # the flag is read: 16 leaves too few coefficients for n_max = 32
+        code, out, err = capture(capsys, argv + ["--precision", "16"])
+        assert code == 2 and out == "" and "base_prec=16" in err
+        # without the flag the precision follows from n_max = 32
+        assert capture(capsys, argv)[0] == 0
 
-    def test_closure_reads_the_precision(self, capsys, monkeypatch):
+    def test_closure_reads_the_precision(self, capsys):
         argv = ["verify", "closure", "--p", "2", "--trials", "3"]
-        monkeypatch.setenv("QCONG_PRECISION", "16")
-        code, out, err = capture(capsys, argv)
+        code, out, err = capture(capsys, argv + ["--precision", "16"])
         assert code == 2 and out == "" and "too low for degree 8" in err
-        monkeypatch.setenv("QCONG_PRECISION", "600")
-        from_env = capture(capsys, argv)
-        monkeypatch.delenv("QCONG_PRECISION")
-        assert from_env[0] == 0
-        assert from_env == capture(capsys, argv + ["--precision", "600"])
+        assert capture(capsys, argv + ["--precision", "600"])[0] == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -480,8 +477,7 @@ README_EXAMPLES = {
 
 
 @pytest.mark.parametrize("command", list(README_EXAMPLES))
-def test_readme_example_output_is_unchanged(capsys, monkeypatch, command):
-    monkeypatch.delenv("QCONG_PRECISION", raising=False)
+def test_readme_example_output_is_unchanged(capsys, command):
     code, out, _ = capture(capsys, shlex.split(command))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]

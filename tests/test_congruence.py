@@ -15,7 +15,7 @@ from qcong.congruence import (
     valuation_table,
     verify_theorem2,
 )
-from qcong import basis, eta
+from qcong import congruence, eta
 from qcong.basis import basis_element
 from qcong.primes import PrimeContext
 from qcong.series import agree, val_p
@@ -116,6 +116,17 @@ class TestJSeries:
     def test_two_routes_agree(self):
         assert agree(j_series(200), j_series_alt(200))
 
+    def test_shorter_requests_read_the_kept_j(self, monkeypatch):
+        monkeypatch.setattr(eta, "_kept", {})
+        first = j_series(64)
+
+        def no_build(*args):
+            raise AssertionError("a request within the kept j built again")
+
+        monkeypatch.setattr(congruence, "_build_j", no_build)
+        assert j_series(64) == first
+        assert j_series(32) == first.truncate(32)
+
     def test_eisenstein_leading_terms(self):
         e4 = eisenstein(4, 3)
         assert [int(e4.coeff(n)) for n in range(4)] == [1, 240, 2160, 6720]
@@ -199,12 +210,10 @@ class TestDecomposeUpStep:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_pole_orders_share_one_psi_expansion(self, p, monkeypatch):
-        # from empty tables, m = 1..6 build one psi and one family from it,
+        # from an empty store, m = 1..6 build one psi and one family from it,
         # and express_in_phi, whose inputs shorten as m grows, reads every
-        # phi^k from one table; each f_m and each phi^k is built once
-        for table in ("_families", "_phi_tables"):
-            monkeypatch.setattr(basis, table, {})
-        monkeypatch.setattr(eta, "_built", {})
+        # phi^k from the store; each f_m and each phi^k is built once
+        monkeypatch.setattr(eta, "_kept", {})
         builds = Counter()
         for module, name in ((eta, "_build_psi"), (eta, "_build_phi")):
 
@@ -214,14 +223,15 @@ class TestDecomposeUpStep:
 
             monkeypatch.setattr(module, name, counted)
         ctx = PrimeContext(p)
-        entries = defaultdict(dict)  # (table, index) -> {id: each entry it held}
+        entries = defaultdict(dict)  # key -> {id: each value kept under it}
         for m in range(1, 7):
             decompose_up_step(ctx, m)
-            for table in ("_families", "_phi_tables"):
-                for k, t in enumerate(getattr(basis, table)[ctx]):
-                    entries[table, k][id(t)] = t
+            for key, t in eta._kept.items():
+                entries[key][id(t)] = t
         assert builds == {"_build_psi": 1, "_build_phi": 1}
-        assert sorted(entries) == [(t, k) for t in ("_families", "_phi_tables") for k in range(7)]
+        assert set(entries) == {("psi", ctx), ("phi", ctx)} | {
+            (name, ctx, k) for name, ks in (("f", range(1, 7)), ("phi^", range(7))) for k in ks
+        }
         assert all(len(built) == 1 for built in entries.values())
 
 
