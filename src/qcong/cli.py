@@ -25,6 +25,7 @@ from . import congruence, eta, hecke
 from .basis import basis_element
 from .congruence import j_series
 from .primes import PrimeContext
+from .series import PrecisionError
 
 
 class UsageError(Exception):
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv = pv.add_subparsers(dest="target", required=True)
     _leaf(pv, "theorem2", _theorem2, text_json, m_max=6, d_max=2, n_max=None, precision=None)
-    _leaf(pv, "lehner", _lehner, text_json, m=1, d_max=2, n_max=None, precision=None)
+    _leaf(pv, "lehner", _lehner, text_json, m=1, d_max=2, n_max=32, precision=None)
     _leaf(pv, "modeq", _modeq, text_json, precision=None)
     _leaf(pv, "hrelation", _hrelation, text_json, precision=None)
     _leaf(pv, "powersums", _powersums, text_json, n_max=None)
@@ -179,11 +180,19 @@ def _expand(args, ctx):
     return payload, [("exponent", "coefficient")] + pairs, [text]
 
 
+def _sweep(args, ctx, m_max: int, prec: int | None):
+    """``verify_theorem2``, with too low a precision reported by its flags."""
+    try:
+        return congruence.verify_theorem2(ctx, m_max, args.d_max, args.n_max, prec)
+    except PrecisionError as exc:
+        need = congruence.default_base_precision(ctx, m_max, args.d_max, args.n_max)
+        raise UsageError(f"--precision {prec} does not determine n up to --n-max "
+                         f"{args.n_max}; --precision {need} suffices") from exc
+
+
 def _theorem2(args, ctx):
     prec = _precision(args, default={2: 4096}.get(ctx.p, 2048))
-    report = congruence.verify_theorem2(
-        ctx, m_max=args.m_max, d_max=args.d_max, n_max=args.n_max, base_prec=prec
-    )
+    report = _sweep(args, ctx, args.m_max, prec)
     lines = [
         f"theorem2 p={ctx.p} m<={args.m_max} d<={args.d_max} base_prec={report.base_prec}",
         f"cases checked: {len(report.cases)}",
@@ -208,14 +217,8 @@ def _theorem2(args, ctx):
 def _lehner(args, ctx):
     if not 1 <= args.m < ctx.p:
         raise UsageError(f"--m must satisfy 1 <= m < {ctx.p}")
-    report = congruence.verify_theorem2(
-        ctx,
-        m_max=args.m,
-        d_max=args.d_max,
-        n_max=32 if args.n_max is None else args.n_max,
-        # without an override the precision follows from n_max
-        base_prec=_precision(args, default=None),
-    )
+    # without an override the precision follows from n_max
+    report = _sweep(args, ctx, args.m, _precision(args, default=None))
     lines = [
         f"lehner p={ctx.p} m={args.m} d<={args.d_max}: "
         f"{len(report.cases)} cases, " + ("PASS" if report.ok else "FAIL")

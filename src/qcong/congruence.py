@@ -1,14 +1,18 @@
 """Valuation sweeps: the divisibility theorems, the valuation table, the
-j-invariant comparison row, and the exploratory scans."""
+j-invariant comparison row, and the exploratory scans.
+
+The divisibility sweep reads each valuation from a residue mod p^K, p^K >=
+2^64, and from the exact coefficient only where that residue is 0 or the
+case fails; every other reader takes the exact ``basis_family``."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 from .basis import basis_family, express_in_phi, phi_powers
-from .eta import _longest, euler_product
+from .eta import _longest, euler_product, psi
 from .primes import PrimeContext
-from .series import QSeries, val_p
+from .series import PrecisionError, QSeries, mul_int_lists, val_p
 
 
 def bound(ctx: PrimeContext, d: int) -> int:
@@ -50,6 +54,28 @@ def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int
     return n_max * ctx.p ** (alpha_max + d_max) + m_max + 16
 
 
+_RESIDUE_BITS = 64  # the sweep's modulus p^K: the least with p^K >= 2^64
+
+
+def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
+    """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
+    to n + m_max - m: the Faber recurrence on int lists, from the exact psi
+    of the store reduced once."""
+    prec = n + m_max - 1
+    ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
+    fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
+    for m in range(2, m_max + 1):
+        t = mul_int_lists(ps, fam[m - 1], len(ps))
+        for k in range(m - 1, 0, -1):
+            c = t[m - k] % modulus
+            t[m - k :] = [x - c * y for x, y in zip(t[m - k :], fam[k])]
+        t = [x % modulus for x in t]
+        if t[0] != 1 or any(t[1:m]):
+            raise ArithmeticError("basis reduction failed to normalize the principal part")
+        fam.append(t)
+    return [QSeries(f, -m, prec - m + 1) for m, f in enumerate(fam)]
+
+
 def verify_theorem2(
     ctx: PrimeContext,
     m_max: int,
@@ -57,11 +83,14 @@ def verify_theorem2(
     n_max: int | None = None,
     base_prec: int | None = None,
 ) -> CongruenceReport:
-    """Exact divisibility sweep over basis elements and decimation depths.
+    """Exact divisibility sweep over basis elements and decimation depths,
+    read from residues mod p^K: v_p(c) = v_p(c mod p^K) unless p^K | c.  A
+    residue 0 (v_p >= K, undecided) or a failing case, whose ``value`` is the
+    exact coefficient, reruns it on the exact ``basis_family``.
 
     The index n runs from 1: constant terms are exempt (the constant term of
     the pole-order-1 element already violates the stated modulus).  Given
-    ``n_max``, every checked block must know n = 1..n_max, or ValueError.
+    ``n_max``, every checked block must know n = 1..n_max, or PrecisionError.
     """
     p = ctx.p
     # each bound below leaves no case to check, which would read as a PASS
@@ -75,34 +104,44 @@ def verify_theorem2(
         if n_max is None:
             raise ValueError("give either n_max or base_prec")
         base_prec = default_base_precision(ctx, m_max, d_max, n_max)
-    fam = basis_family(ctx, m_max, base_prec)
-    cases = []
-    for m in range(1, m_max + 1):
-        alpha = val_p(m, p)
-        m_prime = m // p**alpha
-        s = fam[m].series
-        for beta in range(1, alpha + d_max + 1):
-            s = s.u_op(p)
-            if beta <= alpha:
-                continue
-            required = bound(ctx, beta - alpha)
-            # a coefficient nobody computed must not count as checked
-            if n_max is not None and s.prec < n_max:
-                raise ValueError(
-                    f"base_prec={base_prec} knows m={m}, beta={beta} only to n={s.prec} < "
-                    f"n_max={n_max}; default_base_precision(ctx, {m_max}, {d_max}, {n_max}) = "
-                    f"{default_base_precision(ctx, m_max, d_max, n_max)} suffices"
-                )
-            for n in range(1, (s.prec if n_max is None else n_max) + 1):
-                c = s.coeff(n)
-                observed = val_p(c, p)
-                ok = observed >= required
-                cases.append(
-                    CongruenceCase(
-                        p, m, m_prime, alpha, beta, n, observed, required, ok,
-                        None if ok else c,
+    modulus = p
+    while modulus < 1 << _RESIDUE_BITS:
+        modulus *= p
+    for exact in (False, True):
+        if exact:
+            fam = [e.series for e in basis_family(ctx, m_max, base_prec)]
+        else:
+            fam = _residue_family(ctx, m_max, base_prec, modulus)
+        cases = []
+        for m in range(1, m_max + 1):
+            alpha = val_p(m, p)
+            m_prime = m // p**alpha
+            s = fam[m]
+            for beta in range(1, alpha + d_max + 1):
+                s = s.u_op(p)
+                if beta <= alpha:
+                    continue
+                required = bound(ctx, beta - alpha)
+                # a coefficient nobody computed must not count as checked
+                if n_max is not None and s.prec < n_max:
+                    raise PrecisionError(
+                        f"base_prec={base_prec} knows m={m}, beta={beta} only to n={s.prec} "
+                        f"< n_max={n_max}; default_base_precision(ctx, {m_max}, {d_max}, "
+                        f"{n_max}) = {default_base_precision(ctx, m_max, d_max, n_max)} suffices"
                     )
-                )
+                for n in range(1, (s.prec if n_max is None else n_max) + 1):
+                    c = s.coeff(n)
+                    observed = val_p(c, p)
+                    ok = observed >= required
+                    cases.append(
+                        CongruenceCase(
+                            p, m, m_prime, alpha, beta, n, observed, required, ok,
+                            None if ok else c,
+                        )
+                    )
+        # a residue 0 decides nothing, and a failure reports the exact value
+        if all(c.ok and c.observed != math.inf for c in cases):
+            break
     return CongruenceReport(ctx, base_prec, tuple(cases), all(c.ok for c in cases))
 
 

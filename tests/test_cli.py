@@ -172,6 +172,19 @@ class TestVerify:
         code, _, err = capture(capsys, ["verify", "modeq", "--p", "2", "--precision", "4"])
         assert code == 2 and "precision" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("verify lehner --p 5 --m 1 --precision 16",
+             "--precision 16 does not determine n up to --n-max 32; --precision 817 suffices"),
+            ("verify theorem2 --p 7 --m-max 3 --d-max 3 --n-max 10 --precision 128",
+             "--precision 128 does not determine n up to --n-max 10; --precision 3449 suffices"),
+        ],
+    )
+    def test_too_low_precision_for_n_max_names_the_flags(self, capsys, argv, message):
+        code, out, err = capture(capsys, shlex.split(argv))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
 
 class TestVerifiersFail:
     """Each verifier, fed one wrong input, exits 1 and prints its FAIL lines."""
@@ -402,7 +415,7 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "precision must be at least 16" in err
         # the flag is read: 16 leaves too few coefficients for n_max = 32
         code, out, err = capture(capsys, argv + ["--precision", "16"])
-        assert code == 2 and out == "" and "base_prec=16" in err
+        assert code == 2 and out == "" and "--precision 16 does not" in err
         # without the flag the precision follows from n_max = 32
         assert capture(capsys, argv)[0] == 0
 

@@ -16,7 +16,7 @@ from qcong.congruence import (
     verify_theorem2,
 )
 from qcong import congruence, eta
-from qcong.basis import basis_element
+from qcong.basis import basis_element, basis_family
 from qcong.primes import PrimeContext
 from qcong.series import agree, val_p
 
@@ -85,6 +85,64 @@ class TestTheorem2:
             verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10, base_prec=128)
         report = verify_theorem2(PrimeContext(7), m_max=3, d_max=1, n_max=10, base_prec=128)
         assert {c.n for c in report.cases} == set(range(1, 11))
+
+
+class TestResidueSweep:
+    """The sweep reads valuations from the family mod p^K, p^K >= 2^64, and
+    falls back to the exact family where the residues cannot decide."""
+
+    @pytest.mark.parametrize("p, k", [(2, 64), (3, 41), (5, 28), (7, 23)])
+    def test_residues_are_the_exact_family_mod_p_to_the_k(self, p, k, monkeypatch):
+        ctx = PrimeContext(p)
+        moduli = []
+        residue_family = congruence._residue_family
+
+        def spy(ctx, m_max, n, modulus):
+            moduli.append(modulus)
+            return residue_family(ctx, m_max, n, modulus)
+
+        monkeypatch.setattr(congruence, "_residue_family", spy)
+        verify_theorem2(ctx, m_max=1, d_max=1, base_prec=16)
+        assert moduli == [p**k] and p ** (k - 1) < 2**64 <= p**k
+        # m <= 12 includes pole orders divisible by p
+        residues = residue_family(ctx, 12, 64, p**k)
+        for m, e in enumerate(basis_family(ctx, 12, 64)[1:], start=1):
+            assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
+            assert residues[m].coeffs == tuple(c % p**k for c in e.series.coeffs)
+
+    def test_a_zero_residue_falls_back_to_the_same_report(self, monkeypatch):
+        ctx = PrimeContext(2)
+        calls = []
+        exact_family = congruence.basis_family
+        monkeypatch.setattr(
+            congruence, "basis_family", lambda *args: calls.append(args) or exact_family(*args)
+        )
+        report = verify_theorem2(ctx, m_max=6, d_max=2, base_prec=128)
+        assert calls == []
+        # mod 2 every checked coefficient reads 0, so v_2 >= 1 decides nothing
+        monkeypatch.setattr(congruence, "_RESIDUE_BITS", 1)
+        assert verify_theorem2(ctx, m_max=6, d_max=2, base_prec=128) == report
+        assert calls == [(ctx, 6, 128)]
+
+    def test_failing_cases_carry_the_exact_coefficient(self, monkeypatch):
+        ctx = PrimeContext(2)
+        bound = congruence.bound
+        monkeypatch.setattr(congruence, "bound", lambda ctx, d: bound(ctx, d) + 1000)
+        report = verify_theorem2(ctx, m_max=4, d_max=1, base_prec=256)
+        assert not report.ok and len(report.failures) == len(report.cases)
+        fam = basis_family(ctx, 4, 256)
+        for c in report.failures:
+            s = fam[c.m].series
+            for _ in range(c.beta):
+                s = s.u_op(2)
+            assert c.value == s.coeff(c.n) and c.observed == val_p(s.coeff(c.n), 2)
+        assert max(abs(c.value) for c in report.failures) >= 2**64
+
+    def test_a_wrong_leading_residue_raises(self, monkeypatch):
+        psi = congruence.psi
+        monkeypatch.setattr(congruence, "psi", lambda ctx, n: 2 * psi(ctx, n))
+        with pytest.raises(ArithmeticError, match="principal part"):
+            verify_theorem2(PrimeContext(3), m_max=2, d_max=1, base_prec=64)
 
 
 class TestLehnerDirect:
