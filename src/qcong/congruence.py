@@ -104,6 +104,18 @@ def verify_theorem2(
         if n_max is None:
             raise ValueError("give either n_max or base_prec")
         base_prec = default_base_precision(ctx, m_max, d_max, n_max)
+    # a coefficient nobody computed must not count as checked: f_m is known
+    # to base_prec + m_max - m, and each U_p floor-divides that by p
+    for m in range(1, m_max + 1):
+        alpha = val_p(m, p)
+        for beta in range(alpha + 1, alpha + d_max + 1):
+            known = (base_prec + m_max - m) // p**beta
+            if n_max is not None and known < n_max:
+                raise PrecisionError(
+                    f"base_prec={base_prec} knows m={m}, beta={beta} only to n={known} "
+                    f"< n_max={n_max}; default_base_precision(ctx, {m_max}, {d_max}, "
+                    f"{n_max}) = {default_base_precision(ctx, m_max, d_max, n_max)} suffices"
+                )
     modulus = p
     while modulus < 1 << _RESIDUE_BITS:
         modulus *= p
@@ -122,13 +134,6 @@ def verify_theorem2(
                 if beta <= alpha:
                     continue
                 required = bound(ctx, beta - alpha)
-                # a coefficient nobody computed must not count as checked
-                if n_max is not None and s.prec < n_max:
-                    raise PrecisionError(
-                        f"base_prec={base_prec} knows m={m}, beta={beta} only to n={s.prec} "
-                        f"< n_max={n_max}; default_base_precision(ctx, {m_max}, {d_max}, "
-                        f"{n_max}) = {default_base_precision(ctx, m_max, d_max, n_max)} suffices"
-                    )
                 for n in range(1, (s.prec if n_max is None else n_max) + 1):
                     c = s.coeff(n)
                     observed = val_p(c, p)

@@ -18,7 +18,7 @@ from qcong.congruence import (
 from qcong import congruence, eta
 from qcong.basis import basis_element, basis_family
 from qcong.primes import PrimeContext
-from qcong.series import agree, val_p
+from qcong.series import PrecisionError, agree, val_p
 
 
 class TestBound:
@@ -85,6 +85,20 @@ class TestTheorem2:
             verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10, base_prec=128)
         report = verify_theorem2(PrimeContext(7), m_max=3, d_max=1, n_max=10, base_prec=128)
         assert {c.n for c in report.cases} == set(range(1, 11))
+
+    def test_rejects_n_max_before_building_psi(self, monkeypatch):
+        # each block's precision is known from base_prec alone, so too large
+        # an n_max fails before psi or any basis element is built
+        def build(*args):
+            raise AssertionError("psi built")
+
+        monkeypatch.setattr(eta, "_kept", {})
+        monkeypatch.setattr(eta, "_build_psi", build)
+        with pytest.raises(PrecisionError, match=r"m=1, beta=2 only to n=2 < n_max=10"):
+            verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10, base_prec=128)
+        # at p = 2 the first short block is m = 8, beta = 6: (4096 + 4) // 2^6
+        with pytest.raises(PrecisionError, match=r"m=8, beta=6 only to n=64 < n_max=100"):
+            verify_theorem2(PrimeContext(2), m_max=12, d_max=3, n_max=100, base_prec=4096)
 
 
 class TestResidueSweep:

@@ -360,6 +360,75 @@ class TestKroneckerKernel:
             assert _decimal_kronecker(x, y, digits, length) == full[:length]
             assert _kronecker_mul(x, y, length) == full[:length]
 
+    # The binary method evaluates at +2^n and -2^n, n half the limb, and
+    # reads the even- and the odd-indexed coefficients from separate sums.
+
+    def _check_binary(self, a, b, length=None):
+        want = _school_mul(a, b, length)
+        bits = _limb_bits(a, b, len(want))
+        assert _binary_kronecker(a, b, bits, length) == want
+        assert mul_int_lists(a, b, length) == want
+        return want
+
+    def test_two_point_short_kept_lengths_and_squares(self):
+        rng = random.Random(20)
+        a = [rng.randint(-(2**64), 2**64) for _ in range(50)]
+        b = [rng.randint(-(2**64), 2**64) for _ in range(45)]
+        for length in (1, 2, 3):
+            assert len(self._check_binary(a, b, length)) == length
+        for la in (47, 48):
+            x = a[:la]
+            for length in (la, la + 1, 2 * la - 2, None):
+                self._check_binary(x, x, length)
+
+    def test_two_point_with_an_all_zero_half(self):
+        # the odd-indexed (or even-indexed) coefficients all zero: that half
+        # of the operand packs to 0, and A(2^n) = A(-2^n) (or = -A(-2^n))
+        rng = random.Random(21)
+        a = [rng.randint(-(2**30), 2**30) for _ in range(61)]
+        b = [rng.randint(-(2**30), 2**30) for _ in range(60)]
+        evens = [c if i % 2 == 0 else 0 for i, c in enumerate(a)]
+        odds = [c if i % 2 else 0 for i, c in enumerate(b)]
+        for x, y in [(evens, b), (a, odds), (evens, odds), (odds, odds), (evens, evens)]:
+            for length in (None, 60, 61):
+                self._check_binary(x, y, length)
+        for x in (evens, odds):
+            self._check_binary(x, x, 59)
+
+    def test_two_point_at_the_limb_bound(self):
+        # every kept coefficient just inside the limb, 2^bits - 4|c_k| <= 16
+        # (the limb is whole bytes, so these use all of it), at even and odd
+        # k, all negative or alternating in sign
+        n = 40
+        for bits in (8, 64, 200):
+            y = (2 ** (bits - 2) - 1) // 3
+            for b in ([-y] * n, [(-1) ** k * y for k in range(n)]):
+                for a in ([3], [-3] + [0] * (n - 1)):
+                    for length in (n - 1, n):
+                        want = _school_mul(a, b, length)
+                        assert all(0 < 2**bits - 4 * abs(c) <= 16 for c in want)
+                        assert _binary_kronecker(a, b, bits, length) == want
+                        assert mul_int_lists(a, b, length) == want
+
+    def test_discarded_coefficient_of_either_parity_may_overflow_the_limb(self):
+        # wide top coefficients meet only small ones in the kept range, so
+        # the one discarded c_k they make together, at k = 2m - 2 (even) or
+        # 2m - 3 (odd), overflows the limb that holds the kept ones; the
+        # coefficients from index m on are not read at all
+        rng = random.Random(22)
+        for m in (40, 41):
+            small = [rng.randint(-9, 9) or 1 for _ in range(m)]
+            for gap, parity in ((0, 0), (1, 1)):
+                a = small[:-1] + [2**200 + 1]
+                b = small[:]
+                b[m - 1 - gap] = -(2**200) + 3
+                full = _school_mul(a, b)
+                bits = _limb_bits(a, b, m)
+                over = [k for k, c in enumerate(full) if abs(c) >= 2 ** (8 * ((bits + 7) // 8))]
+                assert over == [2 * m - 2 - gap] and over[0] % 2 == parity
+                assert self._check_binary(a, b, m) == full[:m]
+                assert self._check_binary(a + [2**5000], b + [-(2**5000)], m) == full[:m]
+
     def test_coefficients_reaching_no_kept_one_are_not_packed(self, monkeypatch):
         # 2^5000 sits below the kept length, but meets only zeros of b there
         limbs = []
