@@ -60,12 +60,18 @@ _RESIDUE_BITS = 64  # the sweep's modulus p^K: the least with p^K >= 2^64
 def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
     to n + m_max - m: the Faber recurrence on int lists, from the exact psi
-    of the store reduced once."""
+    of the store reduced once.  An even f_m starts from the square of
+    f_(m/2), an odd one from psi f_(m-1).  Both give f_m, constant included:
+    no step clears a constant, so each f_k, k >= 1, lies in psi Z[psi]; so
+    does f_(m/2)^2 = q^-m + (lower poles) + O(1), known to the same
+    precision, and f_m is the one element of psi Z[psi] with principal part
+    q^-m."""
     prec = n + m_max - 1
     ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
     fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
     for m in range(2, m_max + 1):
-        t = mul_int_lists(ps, fam[m - 1], len(ps))
+        a, b = (fam[m // 2],) * 2 if m % 2 == 0 else (ps, fam[m - 1])
+        t = mul_int_lists(a, b, len(ps))
         for k in range(m - 1, 0, -1):
             c = t[m - k] % modulus
             t[m - k :] = [x - c * y for x, y in zip(t[m - k :], fam[k])]

@@ -50,10 +50,13 @@ def _longest(key, n: int, build):
 
 
 def _build_psi(ctx: PrimeContext, n: int) -> QSeries:
+    """psi to precision n, and beyond where its inputs determine it.  The
+    inverse of E(q^p) is (1/E)(q^p): Newton runs on the t/p + 1 terms of E,
+    not on the t terms of E(q^p), of which all but every p-th are zero."""
     t = n + 2
     e = euler_product(t)
-    ep = euler_product(t // ctx.p + 1).dilate(ctx.p)
-    unit = (e * ep.invert()) ** ctx.lam
+    ep_inv = euler_product(t // ctx.p + 1).invert().dilate(ctx.p)
+    unit = (e * ep_inv) ** ctx.lam
     out = unit.shift(-1)
     if not out.is_integral():
         raise ArithmeticError("hauptmodul expansion produced a non-integer coefficient")

@@ -56,6 +56,8 @@ class PrecisionError(ValueError):
 def _val_p_int(n: int, p: int):
     if n == 0:
         return math.inf
+    if p == 2:  # the lowest set bit of n, in two's complement for n < 0
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -65,6 +67,8 @@ def _val_p_int(n: int, p: int):
 
 def val_p(x, p: int):
     """p-adic valuation of an int or Fraction; +inf for zero."""
+    if p < 2:
+        raise ValueError(f"val_p needs p >= 2, got {p}")
     if x == 0:
         return math.inf
     return _val_p_int(x.numerator, p) - _val_p_int(x.denominator, p)
@@ -500,15 +504,12 @@ class QSeries:
             return QSeries.one(max(self.prec - self.val, 0), self.ram)
         if k < 0:
             return self.invert() ** (-k)
-        result = None
-        base = self
-        kk = k
-        while kk:
-            if kk & 1:
-                result = base if result is None else result * base
-            kk >>= 1
-            if kk:
-                base = base * base
+        # left to right, so that every multiply has self as one operand
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def shift(self, k: int) -> "QSeries":

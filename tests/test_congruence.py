@@ -118,11 +118,13 @@ class TestResidueSweep:
         monkeypatch.setattr(congruence, "_residue_family", spy)
         verify_theorem2(ctx, m_max=1, d_max=1, base_prec=16)
         assert moduli == [p**k] and p ** (k - 1) < 2**64 <= p**k
-        # m <= 12 includes pole orders divisible by p
-        residues = residue_family(ctx, 12, 64, p**k)
-        for m, e in enumerate(basis_family(ctx, 12, 64)[1:], start=1):
-            assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
-            assert residues[m].coeffs == tuple(c % p**k for c in e.series.coeffs)
+        # m <= 12 includes pole orders divisible by p, and even ones built as
+        # squares; n = 0, 1, 2 give the shortest operands
+        for n in (0, 1, 2, 64):
+            residues = residue_family(ctx, 12, n, p**k)
+            for m, e in enumerate(basis_family(ctx, 12, n)[1:], start=1):
+                assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
+                assert residues[m].coeffs == tuple(c % p**k for c in e.series.coeffs)
 
     def test_a_zero_residue_falls_back_to_the_same_report(self, monkeypatch):
         ctx = PrimeContext(2)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from qcong.eta import (
+    _build_psi,
     check_cusp_relation,
     eta_eval,
     euler_product,
@@ -87,6 +88,16 @@ class TestPsi:
     def test_integrality_deep(self):
         for p in (2, 3, 5, 7):
             assert psi(PrimeContext(p), 2048).is_integral()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_short_inverse_matches_the_dense_one(self, p):
+        # reference: invert E(q^p) as a dense series of t terms
+        ctx = PrimeContext(p)
+        for n in (0, 1, p, 97, 300):
+            t = n + 2
+            e = euler_product(t)
+            dense = ((e * euler_product(t // p + 1).dilate(p).invert()) ** ctx.lam).shift(-1)
+            assert _build_psi(ctx, n) == dense, n
 
 
 class TestPhi:

@@ -532,6 +532,33 @@ class TestPow:
         # 1/(1-q)^2 = sum (n+1) q^n
         assert [c.coeff(n) for n in range(0, 5)] == [1, 2, 3, 4, 5]
 
+    POW_BASES = {
+        "int": series([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8]),
+        "laurent": series([1, 7, 0, -2, 11, 5, -3, 0, 1, 4], val=-3),
+        "fraction": series([Fraction(2, 3), Fraction(-1, 4), 5, Fraction(7, 9), 0, Fraction(1, 2)]),
+        "ram2": series([-2, 1, 0, 3, -1, 6, 2], val=1, ram=2),
+    }
+
+    @pytest.mark.parametrize("name", POW_BASES)
+    def test_matches_repeated_multiplication(self, name):
+        a = self.POW_BASES[name]
+        # a^0 is the unit: a * a^0 is a
+        assert a * a**0 == a
+        product = a
+        for k in range(1, 26):
+            assert a**k == product, k  # val, prec, ram and every coefficient
+            product = product * a
+
+    def test_negative_power_inverts_once(self, monkeypatch):
+        a = series([1, -3, 2, 5, -1], val=-2, prec=10)
+        calls = []
+        invert = QSeries.invert
+        monkeypatch.setattr(QSeries, "invert", lambda s: calls.append(s) or invert(s))
+        for k in (1, 2, 7):
+            calls.clear()
+            assert a**-k == invert(a) ** k
+            assert calls == [a]
+
 
 class TestDilateRamify:
     def test_dilate(self):
@@ -595,6 +622,29 @@ class TestValP:
     def test_zero_is_infinite(self):
         for p in (2, 3, 5, 7):
             assert val_p(0, p) == math.inf
+
+    def test_two_adic_bit_path_matches_the_division_loop(self):
+        def loop(n):
+            v = 0
+            while n % 2 == 0:
+                n //= 2
+                v += 1
+            return v
+
+        rng = random.Random(12)
+        for k in range(201):
+            odd = 2 * rng.randrange(2**rng.randrange(1, 300)) + 1
+            for n in (odd << k, -(odd << k)):
+                assert val_p(n, 2) == loop(n) == k
+                den = 3 << rng.randrange(60)
+                assert val_p(Fraction(n, den), 2) == loop(n) - loop(den)
+
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_p_below_two_raises(self, p):
+        # unchecked, p = 1 never returns, p = 0 divides by zero, p = -2 reads as 2
+        for x in (12, Fraction(12, 5), 0):
+            with pytest.raises(ValueError, match="p >= 2"):
+                val_p(x, p)
 
     def test_rational(self):
         assert val_p(Fraction(8, 6), 2) == 2
