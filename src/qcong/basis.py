@@ -151,13 +151,14 @@ def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
 def _eliminate(s: QSeries, powers, degrees):
     """Clear the leading term of each monic powers[k] from s, in the order
     of degrees, one series per cleared term; returns the residual and
-    {k: c} with s = residual + sum c * powers[k]."""
+    {k: c} with s = residual + sum c * powers[k].  powers[0] is 1, cleared
+    as a scalar, which changes the constant of s alone."""
     coeffs = {}
     for k in degrees:
         c = s.coeff(powers[k].val)
         if c:
             coeffs[k] = c
-            s = s._plus(-c, powers[k])
+            s = s._plus(-c, powers[k] if k else 1)
     return s, coeffs
 
 

@@ -270,10 +270,14 @@ def _powersums(args, ctx):
 
 
 def _closure(args, ctx):
-    report = hecke.verify_up_closure(
-        ctx, trials=args.trials, deg_max=args.deg_max, seed=args.seed,
-        n=_precision(args, default=None),  # None: follows from p and deg_max
-    )
+    prec = _precision(args, default=None)  # None: follows from p and deg_max
+    try:
+        report = hecke.verify_up_closure(ctx, trials=args.trials, deg_max=args.deg_max,
+                                         n=prec, seed=args.seed)
+    except PrecisionError as exc:
+        need = hecke._closure_precision(ctx.p, args.deg_max)
+        raise UsageError(f"--precision {prec} is too low for --deg-max {args.deg_max}; "
+                         f"--precision {need} suffices") from exc
     bad = [t for t in report.trials if not t.ok]
     lines = [
         f"closure p={ctx.p} trials={args.trials} deg<={args.deg_max} "

@@ -6,10 +6,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .basis import NotPolynomialError, PhiPolynomial, express_in_phi, phi_powers
+from .basis import _PHI_GUARD, NotPolynomialError, PhiPolynomial, express_in_phi, phi_powers
 from .eta import phi
 from .primes import PrimeContext
-from .series import QSeries, val_p
+from .series import PrecisionError, QSeries, val_p
 
 # reference values for the modular-equation coefficients b_j, used as an
 # independent cross-check of the exact derivation
@@ -161,6 +161,11 @@ class ClosureReport:
     ok: bool
 
 
+def _closure_precision(p: int, deg_max: int) -> int:
+    # U_p leaves n // p coefficients, and express_in_phi needs p * deg_max + guard
+    return p * (p * deg_max + _PHI_GUARD)
+
+
 def verify_up_closure(
     ctx: PrimeContext,
     trials: int = 100,
@@ -176,6 +181,9 @@ def verify_up_closure(
     p = ctx.p
     if n is None:
         n = max(256, p * (p * deg_max + 16))
+    need = _closure_precision(p, deg_max)
+    if n < need:  # checked before phi is built
+        raise PrecisionError(f"precision {n} too low for deg_max {deg_max}: {need} suffices")
     results = []
     for i in range(trials):
         rng = random.Random(seed * 1000003 + i)  # split per trial for determinism

@@ -10,11 +10,13 @@ Coefficients are exact: Python ints wherever the values are integral, and
 ``fractions.Fraction`` only where a denominator arises (an inversion, or a
 non-integral input).  Both expose ``numerator``/``denominator`` and print and
 hash alike, so no code path needs to tell them apart.  Any other coefficient
-type (float, bool, Decimal, ...) raises ``TypeError``.
+type (float, bool, Decimal, ...) raises ``TypeError``; results of the
+arithmetic, int or Fraction by construction, skip that check.  ``val_p``
+takes O(log v) divisions for a long run.
 
-Multiplication clears denominators and runs a truncated integer
-convolution: it returns only the coefficients that the product's precision
-determines, by one of three methods chosen from the operand sizes:
+Multiplication clears denominators (an int operand goes as it is) and runs
+a truncated integer convolution, which returns only the coefficients that the
+product's precision determines, by one of three methods chosen by size:
 
 - schoolbook, for short products, over the pairs that reach a kept
   coefficient;
@@ -54,14 +56,31 @@ class PrecisionError(ValueError):
 
 
 def _val_p_int(n: int, p: int):
+    if n % p:
+        return 0
     if n == 0:
         return math.inf
     if p == 2:  # the lowest set bit of n, in two's complement for n < 0
         return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
+    # a short run (the common case) one division at a time, the first one
+    # before the loop over a constant tuple; a longer run by p, p^2, p^4, ...
+    # while each divides, then by the same powers down, each at most once
+    n //= p
+    if n % p:
+        return 1
+    for v in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
         n //= p
-        v += 1
+        if n % p:
+            return v
+    v, powers = 12, [p]
+    while not n % powers[-1]:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for i in range(len(powers) - 2, -1, -1):
+        if not n % powers[i]:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 
@@ -271,7 +290,9 @@ def mul_frac_lists(a, b, length=None):
 
     def cleared(coeffs):
         coeffs = coeffs[:length]
-        d = math.lcm(*(c.denominator for c in coeffs))
+        if Fraction not in map(type, coeffs):  # ints reach the kernel as they are
+            return coeffs, 1
+        d = math.lcm(*map(operator.attrgetter("denominator"), coeffs))
         return [c.numerator * (d // c.denominator) for c in coeffs], d
 
     na, da = cleared(a)
@@ -299,23 +320,37 @@ class QSeries:
             raise TypeError("series coefficients must be int or Fraction")
         if prec is None:
             prec = val + len(coeffs) - 1
+        self._normalize(coeffs, val, prec, ram)
+
+    @classmethod
+    def _new(cls, coeffs, val: int, prec: int, ram: int) -> "QSeries":
+        """Normalized, not type-checked: for QSeries's own results."""
+        out = object.__new__(cls)
+        out._normalize(coeffs, val, prec, ram)
+        return out
+
+    def _normalize(self, coeffs, val, prec, ram):
+        """Store coeffs (a list, or a tuple kept as it is when it needs no
+        change) from val on, cut or zero-padded to prec, less leading zeros."""
         if prec < val - 1:
             raise ValueError("prec must be >= val - 1")
         n = prec - val + 1
-        coeffs = coeffs[:n] + [0] * (n - len(coeffs))
+        top = min(len(coeffs), n)
         lead = 0
-        while lead < len(coeffs) and coeffs[lead] == 0:
+        while lead < top and coeffs[lead] == 0:
             lead += 1
-        if lead == len(coeffs):
-            coeffs = []
+        if lead == top:
+            coeffs = ()
             val = prec + 1
-        elif lead:
-            coeffs = coeffs[lead:]
+        else:
+            if lead or len(coeffs) > n:  # a slice copies: only when needed
+                coeffs = coeffs[lead:n]
+            coeffs = tuple(coeffs) + (0,) * (n - lead - len(coeffs))
             val += lead
         object.__setattr__(self, "ram", ram)
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -405,7 +440,7 @@ class QSeries:
         out = [0] * (n * t) if n else []
         for i, c in enumerate(self.coeffs):
             out[i * t] = c
-        return QSeries(out, self.val * t, (self.prec + 1) * t - 1, new_ram)
+        return QSeries._new(out, self.val * t, (self.prec + 1) * t - 1, new_ram)
 
     def ramify(self, e: int) -> "QSeries":
         """Re-express with ramification e*ram; the abstract series is unchanged."""
@@ -429,22 +464,27 @@ class QSeries:
 
     def _plus(self, c, other, sign=1) -> "QSeries":
         """sign * self + c * other in one pass over the two coefficient runs;
-        a scalar other is the constant series at precision max(self.prec, 0)."""
-        if isinstance(other, (int, Fraction)):
-            other = QSeries([other], 0, max(self.prec, 0), self.ram)
-        elif not isinstance(other, QSeries):
+        a scalar other is the constant series at precision max(self.prec, 0),
+        whose run is the scalar alone."""
+        if type(other) in (int, Fraction):
+            a, b_val, b_prec, b_run = self, 0, max(self.prec, 0), (other,) if other else ()
+        elif isinstance(other, QSeries):
+            a, b = self._aligned(other)
+            b_val, b_prec, b_run = b.val, b.prec, b.coeffs
+        else:
             return NotImplemented
-        a, b = self._aligned(other)
-        prec = min(a.prec, b.prec)
-        val = min(a.val, b.val, prec + 1)
+        prec = min(a.prec, b_prec)
+        val = min(a.val, b_val, prec + 1)
         out = [0] * (prec + 1 - val)
         run = a.coeffs[: max(prec + 1 - a.val, 0)]
         out[a.val - val : a.val - val + len(run)] = run if sign == 1 else [-x for x in run]
-        run = b.coeffs[: max(prec + 1 - b.val, 0)]
-        # a Fraction times 1 costs a gcd, so a plain sum multiplies nothing
-        for i, x in enumerate(run if c == 1 else [c * x for x in run], b.val - val):
+        run = b_run[: max(prec + 1 - b_val, 0)]
+        # a Fraction times 1 or -1 costs a gcd: a sum or difference multiplies nothing
+        if c != 1:
+            run = [-x for x in run] if c == -1 else [c * x for x in run]
+        for i, x in enumerate(run, b_val - val):
             out[i] += x
-        return QSeries(out, val, prec, a.ram)
+        return QSeries._new(out, val, prec, a.ram)
 
     def __add__(self, other):
         return self._plus(1, other)
@@ -452,7 +492,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.val, self.prec, self.ram)
+        return QSeries._new([-c for c in self.coeffs], self.val, self.prec, self.ram)
 
     def __sub__(self, other):
         return self._plus(-1, other)
@@ -462,19 +502,15 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return QSeries.zero(self.prec, self.ram)
-            return QSeries([other * x for x in self.coeffs], self.val, self.prec, self.ram)
+            return QSeries._new([other * x for x in self.coeffs], self.val, self.prec, self.ram)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._aligned(other)
         prec = min(a.prec + b.val, b.prec + a.val)
         val = a.val + b.val
-        if a.is_zero() or b.is_zero():
-            return QSeries.zero(prec, a.ram)
         # a square (self is other) reaches the kernel as one tuple
         out = mul_frac_lists(a.coeffs, b.coeffs, prec - val + 1)
-        return QSeries(out, val, prec, a.ram)
+        return QSeries._new(out, val, prec, a.ram)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -495,7 +531,7 @@ class QSeries:
             corr = mul_frac_lists(x, err, t2)
             x = [(x[i] if i < len(x) else 0) - corr[i] for i in range(t2)]
             t = t2
-        return QSeries(x, -self.val, self.prec - 2 * self.val, self.ram)
+        return QSeries._new(x, -self.val, self.prec - 2 * self.val, self.ram)
 
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):
@@ -514,14 +550,14 @@ class QSeries:
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by w^k."""
-        return QSeries(list(self.coeffs), self.val + k, self.prec + k, self.ram)
+        return QSeries._new(self.coeffs, self.val + k, self.prec + k, self.ram)
 
     def truncate(self, prec: int) -> "QSeries":
         """Drop coefficients above the given precision bound."""
         if prec >= self.prec:
             return self
         # slice first, so that the cost follows the result, not self
-        return QSeries(self.coeffs[: prec - self.val + 1], self.val, prec, self.ram)
+        return QSeries._new(self.coeffs[: prec - self.val + 1], self.val, prec, self.ram)
 
     def u_op(self, p: int) -> "QSeries":
         """Keep coefficients at exponents divisible by p, dividing the exponent."""
@@ -530,7 +566,7 @@ class QSeries:
         if p < 2:
             raise ValueError("u_op requires p >= 2")
         lo = -((-self.val) // p)
-        return QSeries(self.coeffs[lo * p - self.val :: p], lo, self.prec // p)
+        return QSeries._new(self.coeffs[lo * p - self.val :: p], lo, self.prec // p, 1)
 
 
 def agree(a: QSeries, b: QSeries) -> bool:

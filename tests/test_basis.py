@@ -263,16 +263,30 @@ def test_eliminate_builds_one_series_per_cleared_term(monkeypatch):
     ps = psi(C2, 40)
     powers = _powers(ps, 6, ps.prec)
     built = []
-    init = QSeries.__init__
+    normalize = QSeries._normalize  # every constructor runs it once
 
     def spy(self, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        normalize(self, *args, **kwargs)
 
-    monkeypatch.setattr(QSeries, "__init__", spy)
+    monkeypatch.setattr(QSeries, "_normalize", spy)
     _, coeffs = _eliminate(powers[6], powers, range(5, 0, -1))
     assert len(coeffs) == 5
     assert len(built) == len(coeffs)
+
+
+def test_eliminate_clears_a_fraction_constant_alone():
+    # degree 0 is cleared as a scalar: the other coefficients stay int
+    ps = psi(C2, 40)
+    powers = _powers(ps, 3, ps.prec)
+    s = powers[2] - 5 * powers[1] + Fraction(7, 2)
+    residual, coeffs = _eliminate(s, powers, range(2, -1, -1))
+    assert coeffs == {2: 1, 1: -5, 0: Fraction(7, 2)}
+    assert residual.is_zero()
+    residual, coeffs = _eliminate(s, powers, [0])
+    assert coeffs == {0: s.coeff(0)} and type(s.coeff(0)) is Fraction
+    assert residual == s - s.coeff(0) and residual.coeff(0) == 0
+    assert all(type(c) is int for _, c in residual.terms())
 
 
 class TestPhiPolynomial:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qcong import hecke, series
+from qcong import eta, hecke, series
 from qcong.basis import PhiPolynomial, basis_element
 from qcong.hecke import (
     BJ_TABLE,
@@ -254,6 +254,21 @@ class TestClosure:
     def test_random_lattice_elements(self, p):
         report = verify_up_closure(PrimeContext(p), trials=10, deg_max=3, seed=42)
         assert report.ok
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_too_low_a_precision_raises_before_phi_is_built(self, p, monkeypatch):
+        def build(ctx, n):
+            raise AssertionError("phi was built")
+
+        monkeypatch.setattr(eta, "_kept", {})
+        monkeypatch.setattr(eta, "_build_phi", build)
+        need = p * (p * 4 + 8)  # n // p must reach 4p + 8
+        for n in (16, need - 1):
+            with pytest.raises(series.PrecisionError, match=f"{need} suffices"):
+                verify_up_closure(PrimeContext(p), trials=1, deg_max=4, n=n)
+        # at the bound the check passes and phi is asked for
+        with pytest.raises(AssertionError, match="phi was built"):
+            verify_up_closure(PrimeContext(p), trials=1, deg_max=4, n=need)
 
     def test_deterministic(self):
         a = verify_up_closure(PrimeContext(3), trials=5, deg_max=2, seed=1)

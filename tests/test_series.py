@@ -154,17 +154,103 @@ class TestOnePassSum:
 
     def test_difference_builds_one_series(self, monkeypatch):
         built = []
-        init = QSeries.__init__
+        normalize = QSeries._normalize  # every constructor runs it once
 
         def spy(self, *args, **kwargs):
             built.append(args)
-            init(self, *args, **kwargs)
+            normalize(self, *args, **kwargs)
 
         a = series([1, -24, 276, -2048], val=-1)
         b = series([3, 5, 7], val=0)
-        monkeypatch.setattr(QSeries, "__init__", spy)
+        monkeypatch.setattr(QSeries, "_normalize", spy)
         a - b
         assert len(built) == 1
+
+    def test_difference_equals_the_multiply_route(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            a = self._random_series(rng, rng.randint(1, 3))
+            b = self._random_series(rng, rng.choice([a.ram, rng.randint(1, 3)]))
+            # b * -1 multiplies each coefficient, as the sum did for c = -1
+            assert _exact(a - b) == _exact(a + b * -1), (a, b)
+            assert _exact(a._plus(-1, b, -1)) == _exact(-a + b * -1), (a, b)
+
+    def test_scalar_adds_into_the_constant_alone(self):
+        def dense(a, c, x):  # the constant series as the former route built it
+            return a._plus(c, QSeries([x], 0, max(a.prec, 0), a.ram))
+
+        cases = [
+            series([1, 2, 3], val=-2),  # the constant lies inside the run
+            series([1, 2, 3], val=2, prec=6),  # below the run
+            series([1, 2, 3], val=-2, prec=9),  # inside, beyond the stored terms
+            series([1, 2], val=-5, prec=-2),  # not known: the scalar is dropped
+            series([1, Fraction(1, 3), 3], val=-1, ram=2),
+            QSeries.zero(4),
+            QSeries.zero(-3),
+        ]
+        for a in cases:
+            for c in (1, -1, 3, Fraction(-1, 2)):
+                for x in (0, 5, -1, Fraction(1, 2), Fraction(4)):
+                    got, want = a._plus(c, x), dense(a, c, x)
+                    assert got == want, (a, c, x)
+                    # c * 0 is a Fraction for a Fraction c: the dense route
+                    # made every coefficient one, the scalar route none
+                    kept = [(n, type(a.coeff(n))) for n in range(got.val, got.prec + 1) if n]
+                    assert kept == [(n, type(got.coeff(n))) for n, _ in kept]
+                    if type(c) is int:
+                        assert _exact(got) == _exact(want), (a, c, x)
+            assert _exact(a - 2) == _exact(dense(a, -1, 2)) and _exact(2 - a) == _exact(-a + 2)
+        s = series([1, -24, 252, -1472], val=-1)
+        half = s + Fraction(1, 2)
+        assert half.coeff(0) == Fraction(-47, 2)
+        assert [type(c) for c in half.coeffs] == [int, Fraction, int, int]
+
+
+class TestPrivateConstructor:
+    """Results of QSeries's own arithmetic skip the type check of the public
+    constructor; each must still be what that constructor builds."""
+
+    @pytest.mark.parametrize("kind", ["int", "laurent", "fraction", "ram2"])
+    def test_every_result_is_what_the_public_constructor_builds(self, kind):
+        rng = random.Random(kind)
+
+        def make():
+            coeffs = [rng.choice([0, rng.randint(-9, 9), rng.randint(-10**30, 10**30)])
+                      for _ in range(rng.randint(1, 14))]
+            if kind == "fraction":
+                coeffs = [Fraction(c, rng.randint(1, 6)) if rng.random() < 0.5 else c
+                          for c in coeffs]
+            coeffs[0] = coeffs[0] or 1
+            val = rng.randint(-4, -1) if kind == "laurent" else rng.randint(0, 3)
+            return QSeries(coeffs, val, ram=2 if kind == "ram2" else 1)
+
+        for _ in range(40):
+            a, b = make(), make()
+            results = [
+                a + b, a - b, -a, b - a, a + 3, 3 - a, a - Fraction(1, 2),
+                a._plus(Fraction(-2, 3), b), a._plus(-1, b, -1),
+                a * b, a * a, a * 5, a * Fraction(2, 3), a * 0, a**3, a**-2,
+                a.invert(), a.shift(3), a.shift(-2), a.truncate(a.val + 2),
+                a.truncate(a.val - 1), a.dilate(3), a.ramify(2), a + b.ramify(3),
+                a * b.ramify(3), (a - a) * b,
+            ]
+            if a.ram == 1:
+                results += [a.u_op(2), a.u_op(3), (a * b).u_op(5)]
+            for r in results:
+                assert set(map(type, r.coeffs)) <= {int, Fraction}
+                assert _exact(r) == _exact(QSeries(r.coeffs, r.val, r.prec, r.ram))
+                assert r.is_zero() or r.coeffs[0] != 0
+
+    def test_results_keep_the_precision_check(self):
+        with pytest.raises(ValueError, match="prec must be >= val - 1"):
+            QSeries._new([1], 0, -2, 1)
+        with pytest.raises(ValueError, match="prec must be >= val - 1"):
+            series([1, 2], val=0).truncate(-2)
+
+    def test_a_normalized_tuple_is_stored_as_it_is(self):
+        s = series([3, 0, 5, 0], val=-1)
+        assert s.shift(4).coeffs is s.coeffs
+        assert s.truncate(s.prec - 1).coeffs == s.coeffs[:-1]
 
 
 class TestMul:
@@ -453,6 +539,37 @@ class TestKroneckerKernel:
             for length in (1, 30, len(full), len(full) + 2):
                 assert mul_frac_lists(x, y, length) == (full + [0, 0])[:length]
 
+    def test_int_operands_reach_the_kernel_as_they_are(self, monkeypatch):
+        seen = []
+        kernel = qcong.series.mul_int_lists
+
+        def spy(a, b, length=None):
+            seen.append((a, b))
+            return kernel(a, b, length)
+
+        monkeypatch.setattr(qcong.series, "mul_int_lists", spy)
+        a, b = tuple(range(-20, 30)), tuple(range(7, 47))
+        assert mul_frac_lists(a, b) == _school_mul(a, b)
+        assert mul_frac_lists(a, a, 60) == _school_mul(a, a)[:60]
+        assert seen[0][0] is a and seen[0][1] is b
+        assert seen[1][0] is seen[1][1] is a
+
+    def test_int_mixed_and_integral_fraction_operands(self):
+        rng = random.Random(23)
+        ints = [rng.randint(-10**20, 10**20) for _ in range(50)]
+        other = [rng.choice([0, rng.randint(-99, 99)]) for _ in range(40)]
+        full = _school_mul(ints, other)
+        square = _school_mul(ints, ints)
+        for x in (ints, [Fraction(c) for c in ints], [Fraction(c) if i % 3 else c
+                                                      for i, c in enumerate(ints)]):
+            for y in (other, [Fraction(c) for c in other]):
+                for length in (None, 1, 30, len(full), len(full) + 2):
+                    got = mul_frac_lists(x, y, length)
+                    assert got == (full if length is None else (full + [0, 0])[:length])
+                    assert all(type(c) is int for c in got)
+            got = mul_frac_lists(x, x, 70)
+            assert got == square[:70] and all(type(c) is int for c in got)
+
     def test_square_reaches_the_kernel_as_one_list(self, monkeypatch):
         seen = []
         kernel = qcong.series.mul_int_lists
@@ -638,6 +755,24 @@ class TestValP:
                 assert val_p(n, 2) == loop(n) == k
                 den = 3 << rng.randrange(60)
                 assert val_p(Fraction(n, den), 2) == loop(n) - loop(den)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_long_runs_match_the_division_loop(self, p):
+        def loop(n):
+            v = 0
+            while n % p == 0:
+                n //= p
+                v += 1
+            return v
+
+        rng = random.Random(p)
+        for k in range(301):
+            unit = p * rng.randrange(2 ** rng.randrange(1, 600)) + rng.randrange(1, p)
+            for n in (unit * p**k, -unit * p**k):
+                assert qcong.series._val_p_int(n, p) == loop(n) == k
+                j = rng.randrange(301)
+                den = p**j * (p * rng.randrange(2**40) + 1)
+                assert val_p(Fraction(n, den), p) == loop(n) - loop(den) == k - j
 
     @pytest.mark.parametrize("p", [1, 0, -2])
     def test_p_below_two_raises(self, p):
