@@ -8,7 +8,6 @@ from .basis import (
     basis_element,
     basis_family,
     express_in_phi,
-    express_in_psi,
 )
 from .congruence import (
     CongruenceCase,
@@ -75,7 +74,6 @@ __all__ = [
     "eta_eval",
     "euler_product",
     "express_in_phi",
-    "express_in_psi",
     "g_poly",
     "j_series",
     "phi",

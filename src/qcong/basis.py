@@ -1,17 +1,20 @@
-"""The canonical pole-order basis and polynomial extraction in psi / phi.
+"""The canonical pole-order basis and polynomial extraction in phi.
 
-Basis elements q^{-m} + O(1) are built by the Faber recurrence: the principal
-part of psi * f_m is cleared greedily against f_m, ..., f_1, each of which has
-the single pole term q^{-k}, so the reduction is triangular and never needs a
-linear solve.  Each f_m and each power of phi is kept in the store of ``eta``.
+Basis elements q^{-m} + O(1) are built by one Faber step on int lists, exact
+or mod p^K: an even f_m starts from f_(m/2)^2, an odd one from psi f_(m-1),
+and the principal part is cleared greedily against f_(m-1), ..., f_1, each of
+which has the single pole term q^{-k}, so the reduction is triangular and
+never needs a linear solve.  The polynomial in psi that f_m is comes on
+demand from the Lagrange-Faber formula.  Each f_m and each power of phi is
+kept in the store of ``eta``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .eta import _longest, phi, psi
 from .primes import PrimeContext
-from .series import PrecisionError, QSeries
+from .series import PrecisionError, QSeries, mul_int_lists
 
 
 class NotPolynomialError(ValueError):
@@ -113,24 +116,26 @@ class PhiPolynomial:
 
 @dataclass(frozen=True)
 class BasisElement:
-    """q^{-m} + O(1), together with its integer polynomial in psi."""
+    """q^{-m} + O(1), the one element of Z[psi] with that principal part and
+    no constant term in psi."""
 
     ctx: PrimeContext
     m: int
     series: QSeries
-    psi_poly: dict = field(default_factory=dict)  # degree -> int, monic, no constant
 
     @property
     def prec(self) -> int:
         return self.series.prec
 
-
-def _powers(t: QSeries, k: int, prec: int) -> list:
-    """t^0 .. t^k of a Hauptmodul t, each truncated at precision prec."""
-    powers = [QSeries.one(prec), t.truncate(prec)]
-    while len(powers) <= k:
-        powers.append((powers[-1] * t).truncate(prec))
-    return powers[: k + 1]
+    @property
+    def psi_poly(self) -> dict:
+        """f_m as a polynomial in psi, {degree: int}, monic of degree m with
+        no constant.  By Lagrange inversion of psi = 1/phi (the residue of
+        f_m psi^(-k-1) dpsi at q = 0), its degree-k coefficient is
+        m [q^m] phi^k / k."""
+        m = self.m
+        powers = phi_powers(self.ctx, m, m) if m else ()
+        return {k: c for k in range(1, m + 1) if (c := m * powers[k].coeff(m) // k)}
 
 
 def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
@@ -162,25 +167,25 @@ def _eliminate(s: QSeries, powers, degrees):
     return s, coeffs
 
 
-def _faber_step(ps: QSeries, fam: list) -> BasisElement:
-    """f_m for m = len(fam), from psi and fam = [f_0, ..., f_{m-1}]."""
-    # Faber recurrence: psi * f_{m-1} = q^-m + sum_{k<m} c_k q^-k + O(1), so
-    # f_m = psi * f_{m-1} - sum c_k f_k; f_k is monic with no other pole term
-    ctx, m = fam[0].ctx, len(fam)
-    if m == 1:
-        return BasisElement(ctx, 1, ps, {1: 1})
-    series = [e.series for e in fam]
-    r, coeffs = _eliminate(ps * series[m - 1], series, range(m - 1, 0, -1))
-    if r.coeff(-m) != 1 or any(r.coeff(-k) != 0 for k in range(1, m)):
+def _faber_step(ps, fam: list, modulus: int | None = None) -> list:
+    """f_m for m = len(fam) >= 2 as an int list q^-m .. q^(prec-m+1), from
+    psi (q^-1 .. q^prec) and fam = [f_0, ..., f_(m-1)] in that layout, mod
+    modulus if one is given.  An even f_m starts from f_(m/2)^2, an odd one
+    from psi f_(m-1); clearing q^-(m-1) .. q^-1 against f_(m-1) .. f_1 gives
+    f_m, constant included, from either: no step clears a constant, so each
+    f_k, k >= 1, and either product lie in psi Z[psi], and f_m is the one
+    element there with principal part q^-m."""
+    m = len(fam)
+    a, b = (fam[m // 2],) * 2 if m % 2 == 0 else (ps, fam[m - 1])
+    t = mul_int_lists(a, b, len(ps))
+    for k in range(m - 1, 0, -1):
+        c = t[m - k] if modulus is None else t[m - k] % modulus
+        t[m - k :] = [x - c * y for x, y in zip(t[m - k :], fam[k])]
+    if modulus is not None:
+        t = [x % modulus for x in t]
+    if t[0] != 1 or any(t[1:m]):
         raise ArithmeticError("basis reduction failed to normalize the principal part")
-    # psi, f_k and so each c_k are integral; this guards the arithmetic
-    if not r.is_integral():
-        raise ArithmeticError("basis element has a non-integer coefficient")
-    poly = {k + 1: c for k, c in fam[m - 1].psi_poly.items()}
-    for k, c in coeffs.items():
-        for d, e in fam[k].psi_poly.items():
-            poly[d] = poly.get(d, 0) - c * e
-    return BasisElement(ctx, m, r, {d: e for d, e in poly.items() if e})
+    return t
 
 
 def basis_family(ctx: PrimeContext, m_max: int, n: int):
@@ -189,13 +194,14 @@ def basis_family(ctx: PrimeContext, m_max: int, n: int):
     precision asked of it, and only those shorter than asked are rebuilt."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    out = [BasisElement(ctx, 0, QSeries.one(n), {})]
+    fam = [QSeries.one(n)]
     prec = n + m_max - 1  # of psi; f_m is known to prec - m + 1
     ps = psi(ctx, prec) if m_max else None
     for m in range(1, m_max + 1):
-        e = _longest(("f", ctx, m), prec - m + 1, lambda: _faber_step(ps, out))
-        out.append(BasisElement(ctx, m, e.series.truncate(prec - m + 1), e.psi_poly))
-    return tuple(out)
+        f = _longest(("f", ctx, m), prec - m + 1, lambda: ps if m == 1 else QSeries(
+            _faber_step(ps.coeffs, [s.coeffs for s in fam]), -m, prec - m + 1))
+        fam.append(f.truncate(prec - m + 1))
+    return tuple(BasisElement(ctx, m, s) for m, s in enumerate(fam))
 
 
 def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:
@@ -204,17 +210,6 @@ def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:
 
 
 _PHI_GUARD = 8  # coefficients of s beyond maxdeg, which must cancel too
-
-
-def _express(s: QSeries, powers, degrees, shape: str):
-    """Clear s against powers in the order of degrees, degree 0 being the
-    constant 1; returns the constant and {k: c} of the other degrees, or
-    raises if a residual survives to the precision of s."""
-    residual, coeffs = _eliminate(s, powers, degrees)
-    if not residual.is_zero():
-        bad = residual.val
-        raise NotPolynomialError(f"not a {shape}: residual at q^{bad}", bad)
-    return coeffs.pop(0, 0), coeffs
 
 
 def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
@@ -237,24 +232,14 @@ def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
         raise PrecisionError(
             f"precision {s.prec} too low for degree {maxdeg} (guard {_PHI_GUARD})"
         )
-    constant, coeffs = _express(
-        s, phi_powers(ctx, maxdeg, s.prec), range(maxdeg + 1),
-        f"phi-polynomial of degree <= {maxdeg}",
-    )
+    residual, coeffs = _eliminate(s, phi_powers(ctx, maxdeg, s.prec), range(maxdeg + 1))
+    if not residual.is_zero():
+        bad = residual.val
+        raise NotPolynomialError(
+            f"not a phi-polynomial of degree <= {maxdeg}: residual at q^{bad}", bad
+        )
+    constant = coeffs.pop(0, 0)
     if type(constant) is not int:
         raise TypeError("the constant of a phi-polynomial must be int")
     return constant, PhiPolynomial(coeffs)
 
-
-def express_in_psi(ctx: PrimeContext, s: QSeries, maxdeg: int):
-    """Write s as constant + polynomial in psi (no constant term in the poly),
-    against powers of psi built to cover every coefficient of s.  s must know
-    its constant (else ``PrecisionError``)."""
-    if s.ram != 1:
-        raise ValueError("express_in_psi requires an unramified series")
-    if not s.is_zero() and s.val < -maxdeg:
-        raise ValueError(f"valuation {s.val} below -maxdeg {-maxdeg}")
-    ps = psi(ctx, s.prec + max(maxdeg, 1))
-    return _express(
-        s, _powers(ps, maxdeg, ps.prec), range(maxdeg, -1, -1), "psi-polynomial plus constant"
-    )

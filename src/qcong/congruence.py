@@ -1,24 +1,26 @@
 """Valuation sweeps: the divisibility theorems, the valuation table, the
 j-invariant comparison row, and the exploratory scans.
 
-The divisibility sweep reads each valuation from a residue mod p^K, p^K >=
-2^64, and from the exact coefficient only where that residue is 0 or the
-case fails; every other reader takes the exact ``basis_family``."""
+The divisibility sweep runs the Faber step of ``basis_family`` mod p^K,
+p^K >= 2^64, and reads the exact coefficient only where a residue is 0 or
+the case fails; every other reader takes the exact ``basis_family``."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .basis import basis_family, express_in_phi, phi_powers
+from .basis import _faber_step, basis_family, express_in_phi, phi_powers
 from .eta import _longest, euler_product, psi
-from .primes import PrimeContext
-from .series import PrecisionError, QSeries, mul_int_lists, val_p
+from .primes import GENUS_ZERO_PRIMES, PrimeContext
+from .series import PrecisionError, QSeries, val_p
 
 
 def bound(ctx: PrimeContext, d: int) -> int:
     """Required valuation of a coefficient after d net decimation steps."""
     if d < 1:
         raise ValueError("d must be positive")
+    if ctx.p not in GENUS_ZERO_PRIMES:
+        raise ValueError(f"bound is not defined for p={ctx.p}")
     return {2: 3 * d + 8, 3: 2 * d + 3, 5: d + 1, 7: d}[ctx.p]
 
 
@@ -59,26 +61,13 @@ _RESIDUE_BITS = 64  # the sweep's modulus p^K: the least with p^K >= 2^64
 
 def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
-    to n + m_max - m: the Faber recurrence on int lists, from the exact psi
-    of the store reduced once.  An even f_m starts from the square of
-    f_(m/2), an odd one from psi f_(m-1).  Both give f_m, constant included:
-    no step clears a constant, so each f_k, k >= 1, lies in psi Z[psi]; so
-    does f_(m/2)^2 = q^-m + (lower poles) + O(1), known to the same
-    precision, and f_m is the one element of psi Z[psi] with principal part
-    q^-m."""
+    to n + m_max - m: the same Faber step, from the exact psi of the store
+    reduced once."""
     prec = n + m_max - 1
     ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
     fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
     for m in range(2, m_max + 1):
-        a, b = (fam[m // 2],) * 2 if m % 2 == 0 else (ps, fam[m - 1])
-        t = mul_int_lists(a, b, len(ps))
-        for k in range(m - 1, 0, -1):
-            c = t[m - k] % modulus
-            t[m - k :] = [x - c * y for x, y in zip(t[m - k :], fam[k])]
-        t = [x % modulus for x in t]
-        if t[0] != 1 or any(t[1:m]):
-            raise ArithmeticError("basis reduction failed to normalize the principal part")
-        fam.append(t)
+        fam.append(_faber_step(ps, fam, modulus))
     return [QSeries(f, -m, prec - m + 1) for m, f in enumerate(fam)]
 
 
@@ -106,6 +95,7 @@ def verify_theorem2(
         raise ValueError("d_max must be at least 1")
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be at least 1")
+    bounds = {d: bound(ctx, d) for d in range(1, d_max + 1)}  # p = 13 raises here
     if base_prec is None:
         if n_max is None:
             raise ValueError("give either n_max or base_prec")
@@ -139,7 +129,7 @@ def verify_theorem2(
                 s = s.u_op(p)
                 if beta <= alpha:
                     continue
-                required = bound(ctx, beta - alpha)
+                required = bounds[beta - alpha]
                 for n in range(1, (s.prec if n_max is None else n_max) + 1):
                     c = s.coeff(n)
                     observed = val_p(c, p)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .basis import _PHI_GUARD, NotPolynomialError, PhiPolynomial, express_in_phi, phi_powers
 from .eta import phi
-from .primes import PrimeContext
+from .primes import GENUS_ZERO_PRIMES, PrimeContext
 from .series import PrecisionError, QSeries, val_p
 
 # reference values for the modular-equation coefficients b_j, used as an
@@ -112,17 +112,19 @@ class PowerSumReport:
 
 def power_sum_target(ctx: PrimeContext, n: int) -> int:
     """Lower bound on the extra power of p carried by the n-th power sum."""
+    if ctx.p not in GENUS_ZERO_PRIMES:
+        raise ValueError(f"power_sum_target is not defined for p={ctx.p}")
     return {2: 4 * n + 12, 3: 2 * n + 7, 5: 2 * n + 2, 7: n + 2}[ctx.p]
 
 
 def verify_power_sum_divisibility(ctx: PrimeContext, n_max: int) -> PowerSumReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    eq = derive_bj(ctx)
+    targets = [power_sum_target(ctx, n) for n in range(1, n_max + 1)]  # p = 13 raises here
     rows = []
-    for n, s in enumerate(power_sums(eq, n_max), start=1):
+    for n, s in enumerate(power_sums(derive_bj(ctx), n_max), start=1):
         rep = rp_report(ctx, s)
-        required = power_sum_target(ctx, n)
+        required = targets[n - 1]
         rows.append(PowerSumRow(n, rep.t, required, rep.t >= required))
     return PowerSumReport(ctx, tuple(rows), all(r.ok for r in rows))
 

@@ -15,10 +15,23 @@ from qcong.congruence import (
     valuation_table,
     verify_theorem2,
 )
-from qcong import congruence, eta
+from qcong import basis, congruence, eta
 from qcong.basis import basis_element, basis_family
 from qcong.primes import PrimeContext
 from qcong.series import PrecisionError, agree, val_p
+
+
+def test_exploratory_p13_raises_before_building_psi(monkeypatch):
+    # p = 13 has no bound: the sweep refuses it before any series is built
+    def no_psi(*args):
+        raise AssertionError("psi was built")
+
+    monkeypatch.setattr(eta, "_kept", {})
+    monkeypatch.setattr(eta, "_build_psi", no_psi)
+    ctx = PrimeContext(13, exploratory=True)
+    for call in (lambda: bound(ctx, 1), lambda: verify_theorem2(ctx, 2, 1, base_prec=64)):
+        with pytest.raises(ValueError, match="bound is not defined for p=13"):
+            call()
 
 
 class TestBound:
@@ -159,6 +172,12 @@ class TestResidueSweep:
         monkeypatch.setattr(congruence, "psi", lambda ctx, n: 2 * psi(ctx, n))
         with pytest.raises(ArithmeticError, match="principal part"):
             verify_theorem2(PrimeContext(3), m_max=2, d_max=1, base_prec=64)
+        # the exact family takes the same step, and the same guard, from a
+        # store that keeps no f_m
+        monkeypatch.setattr(basis, "psi", lambda ctx, n: 2 * psi(ctx, n))
+        monkeypatch.setattr(eta, "_kept", {})
+        with pytest.raises(ArithmeticError, match="principal part"):
+            basis_family(PrimeContext(3), 2, 64)
 
 
 class TestLehnerDirect:

@@ -9,6 +9,7 @@ from qcong.hecke import (
     ModularEquation,
     derive_bj,
     g_poly,
+    power_sum_target,
     power_sums,
     rp_report,
     verify_hpoly_relation,
@@ -18,6 +19,19 @@ from qcong.hecke import (
 from qcong.eta import phi
 from qcong.primes import PrimeContext
 from qcong.series import QSeries, agree
+
+
+def test_exploratory_p13_raises_before_building_psi(monkeypatch):
+    # p = 13 has no power-sum target: the check refuses it before derive_bj
+    def no_psi(*args):
+        raise AssertionError("psi was built")
+
+    monkeypatch.setattr(eta, "_kept", {})
+    monkeypatch.setattr(eta, "_build_psi", no_psi)
+    ctx = PrimeContext(13, exploratory=True)
+    for call in (lambda: power_sum_target(ctx, 1), lambda: verify_power_sum_divisibility(ctx, 2)):
+        with pytest.raises(ValueError, match="power_sum_target is not defined for p=13"):
+            call()
 
 
 class TestUpIterate:
