@@ -3,7 +3,13 @@ j-invariant comparison row, and the exploratory scans.
 
 The divisibility sweep runs the Faber step of ``basis_family`` mod p^K,
 p^K >= 2^64, and reads the exact coefficient only where a residue is 0 or
-the case fails; every other reader takes the exact ``basis_family``."""
+the case fails; every other reader takes the exact ``basis_family``.  Every
+residue is below p^K, which fixes the binary Kronecker limb of the whole
+family in advance, so psi and each f_m are packed once, and each step's
+product less the cleared principal part is formed on the packed values.
+That route holds while length * limb stays below the kernel's decimal
+crossover, ``series._DECIMAL_CUTOFF``; past it the step runs on int lists,
+whose products go to the decimal radix."""
 from __future__ import annotations
 
 import math
@@ -12,7 +18,10 @@ from dataclasses import dataclass
 from .basis import _faber_step, basis_family, express_in_phi, phi_powers
 from .eta import _longest, euler_product, psi
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
-from .series import PrecisionError, QSeries, val_p
+from . import series
+from .series import (
+    PrecisionError, QSeries, _ks2_mul_sub, _ks2_pack, _school_mul, _val_p_int, val_p,
+)
 
 
 def bound(ctx: PrimeContext, d: int) -> int:
@@ -24,7 +33,7 @@ def bound(ctx: PrimeContext, d: int) -> int:
     return {2: 3 * d + 8, 3: 2 * d + 3, 5: d + 1, 7: d}[ctx.p]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CongruenceCase:
     p: int
     m: int
@@ -59,15 +68,46 @@ def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int
 _RESIDUE_BITS = 64  # the sweep's modulus p^K: the least with p^K >= 2^64
 
 
+def _packed_faber_step(fam: list, packs: list, bits: int, modulus: int) -> list:
+    """``_faber_step(fam[1], fam, modulus)``, with packs[k] the pair
+    ``_ks2_pack(fam[k], bits, len(fam[1]))`` for 1 <= k < len(fam): the
+    multipliers c_k come from the first m coefficients of the product alone,
+    and a b - sum c_k x^(m-k) f_k is formed on the packed values, unpacked
+    once and reduced once."""
+    m = len(fam)
+    i, j = (m // 2,) * 2 if m % 2 == 0 else (1, m - 1)
+    head = _school_mul(fam[i][:m], fam[j][:m], m)
+    terms = []
+    for k in range(m - 1, 0, -1):
+        c = head[m - k] % modulus
+        head[m - k :] = [x - c * y for x, y in zip(head[m - k :], fam[k])]
+        terms.append((c, m - k, packs[k]))
+    t = [x % modulus for x in _ks2_mul_sub(packs[i], packs[j], terms, bits, len(fam[1]))]
+    if t[0] != 1 or any(t[1:m]):
+        raise ArithmeticError("basis reduction failed to normalize the principal part")
+    return t
+
+
 def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
     to n + m_max - m: the same Faber step, from the exact psi of the store
-    reduced once."""
+    reduced once.  Below the kernel's decimal crossover the step runs on
+    packed values, each f_k packed once; above it, on int lists."""
     prec = n + m_max - 1
     ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
     fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
+    size = len(ps)
+    # a kept coefficient of a b - sum c_k x^(m-k) f_k, every operand a
+    # residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2
+    bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+    packed = size * bits < series._DECIMAL_CUTOFF
+    packs = [None]  # packs[k] is f_k packed, made once, just before f_(k+1)
     for m in range(2, m_max + 1):
-        fam.append(_faber_step(ps, fam, modulus))
+        if packed:
+            packs.append(_ks2_pack(fam[m - 1], bits, size))
+            fam.append(_packed_faber_step(fam, packs, bits, modulus))
+        else:
+            fam.append(_faber_step(ps, fam, modulus))
     return [QSeries(f, -m, prec - m + 1) for m, f in enumerate(fam)]
 
 
@@ -130,9 +170,12 @@ def verify_theorem2(
                 if beta <= alpha:
                     continue
                 required = bounds[beta - alpha]
-                for n in range(1, (s.prec if n_max is None else n_max) + 1):
-                    c = s.coeff(n)
-                    observed = val_p(c, p)
+                # the coefficients at n = 1 .. top, in one slice of the run
+                top = s.prec if n_max is None else n_max
+                lead = min(max(s.val - 1, 0), top)
+                run = (0,) * lead + s.coeffs[max(1 - s.val, 0) : max(top + 1 - s.val, 0)]
+                for n, c in enumerate(run, 1):
+                    observed = _val_p_int(c, p)  # math.inf for c = 0
                     ok = observed >= required
                     cases.append(
                         CongruenceCase(

@@ -31,7 +31,11 @@ product's precision determines, by one of three methods chosen by size:
 
 The Kronecker limb is sized for the kept coefficients only; the discarded
 ones may overflow it, since carries only run upward (the two-point sum and
-difference are exact).  A square is packed once.
+difference are exact).  In the binary method, packing is separate from the
+product: a packed operand depends on the operand and the limb alone, so a
+square is packed once, and a caller that fixes the limb in advance can pack
+an operand once for many products, and form a linear combination of
+products and shifted operands on the packed values before the one unpack.
 """
 from __future__ import annotations
 
@@ -113,44 +117,70 @@ def _school_mul(a, b, length=None):
     return out
 
 
-def _binary_kronecker(a, b, bits, length=None):
+def _ks2_pack(coeffs, bits, m):
+    """(A(2^n), A(-2^n)) for A = sum c_i x^i over c_0 .. c_(m-1), in limbs of
+    whole bytes at least `bits` wide, 2n bits each; every coefficient must
+    satisfy 4|c| < 2^bits.  The pair depends on the operand alone, so one
+    packing serves every product and every combination it enters."""
     # two-point substitution (Harvey's KS2): evaluate at x = 2^n and x = -2^n,
-    # n half the limb, so that each of the two multiplies is half as wide
-    m = len(a) + len(b) - 1 if length is None else length
+    # n half the limb, so that each multiply of two packed values is half as
+    # wide; the even- and the odd-indexed coefficients go into limbs offset to
+    # be nonnegative: A(+-2^n) = A_even +- 2^n A_odd
+    nbytes = (bits + 7) // 8
+    n = 4 * nbytes
+    half = 1 << (2 * n - 1)
+    limbs = [(c + half).to_bytes(nbytes, "little") for c in coeffs[:m]]
+    off_limb = b"\x00" * (nbytes - 1) + b"\x80"
+    even, odd = [int.from_bytes(b"".join(h), "little")
+                 - int.from_bytes(off_limb * len(h), "little")
+                 for h in (limbs[0::2], limbs[1::2])]
+    return even + (odd << n), even - (odd << n)
+
+
+def _ks2_unpack(plus, minus, bits, m):
+    """c_0 .. c_(m-1) of C from C(2^n) and C(-2^n), packed as by
+    ``_ks2_pack``; every kept c_k must satisfy 4|c_k| < 2^bits, and C may have
+    further coefficients of any size."""
     nbytes = (bits + 7) // 8
     n = 4 * nbytes
     half = 1 << (2 * n - 1)
     off_limb = b"\x00" * (nbytes - 1) + b"\x80"
 
-    def offset(count):
-        return int.from_bytes(off_limb * count, "little")
-
-    def pack(coeffs):
-        # even- and odd-indexed coefficients, each in little-endian limbs of
-        # 2n bits offset to be nonnegative: A(+-2^n) = A_even +- 2^n A_odd
-        limbs = [(c + half).to_bytes(nbytes, "little") for c in coeffs[:m]]
-        even, odd = [int.from_bytes(b"".join(h), "little") - offset(len(h))
-                     for h in (limbs[0::2], limbs[1::2])]
-        return even + (odd << n), even - (odd << n)
-
-    def unpack(packed, count):
+    def limbs(packed, count):
         # the limbs from `count` on only carry upward, so the low `count`
         # limbs are exact however far the discarded coefficients overflow
-        raw = (packed + offset(count)) & ((1 << (2 * n * count)) - 1)
-        raw = raw.to_bytes(count * nbytes, "little")
+        raw = packed + int.from_bytes(off_limb * count, "little")
+        raw = (raw & ((1 << (2 * n * count)) - 1)).to_bytes(count * nbytes, "little")
         return [int.from_bytes(raw[i : i + nbytes], "little") - half
                 for i in range(0, len(raw), nbytes)]
 
-    a_plus, a_minus = pack(a)
-    b_plus, b_minus = (a_plus, a_minus) if b is a else pack(b)
-    plus, minus = a_plus * b_plus, a_minus * b_minus
-    # exact identities for C = A B:  C(2^n) + C(-2^n) = 2 sum c_2k 2^(2nk)
-    # and C(2^n) - C(-2^n) = 2^(n+1) sum c_(2k+1) 2^(2nk), so a discarded
-    # c_k still carries only upward, into limbs that are not read
+    # exact identities:  C(2^n) + C(-2^n) = 2 sum c_2k 2^(2nk) and
+    # C(2^n) - C(-2^n) = 2^(n+1) sum c_(2k+1) 2^(2nk), so a discarded c_k
+    # still carries only upward, into limbs that are not read
     out = [0] * m
-    out[0::2] = unpack((plus + minus) >> 1, (m + 1) // 2)
-    out[1::2] = unpack((plus - minus) >> (n + 1), m // 2)
+    out[0::2] = limbs((plus + minus) >> 1, (m + 1) // 2)
+    out[1::2] = limbs((plus - minus) >> (n + 1), m // 2)
     return out
+
+
+def _ks2_mul_sub(a, b, terms, bits, m):
+    """c_0 .. c_(m-1) of A B - sum c x^s F over terms (c, s, F), where A, B
+    and each F are pairs from ``_ks2_pack`` with this limb: x^s is the scalar
+    (+-2^n)^s at the two points, so the combination costs two multiplies,
+    a scalar multiply and a shift per term, and one unpack."""
+    n = 4 * ((bits + 7) // 8)
+    plus, minus = a[0] * b[0], a[1] * b[1]
+    for c, s, (f_plus, f_minus) in terms:
+        plus -= (c * f_plus) << (n * s)
+        minus -= ((-c if s & 1 else c) * f_minus) << (n * s)
+    return _ks2_unpack(plus, minus, bits, m)
+
+
+def _binary_kronecker(a, b, bits, length=None):
+    m = len(a) + len(b) - 1 if length is None else length
+    a_plus, a_minus = _ks2_pack(a, bits, m)
+    b_plus, b_minus = (a_plus, a_minus) if b is a else _ks2_pack(b, bits, m)
+    return _ks2_unpack(a_plus * b_plus, a_minus * b_minus, bits, m)
 
 
 # Every operation on a packed Decimal goes through this context: the

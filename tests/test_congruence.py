@@ -15,7 +15,7 @@ from qcong.congruence import (
     valuation_table,
     verify_theorem2,
 )
-from qcong import basis, congruence, eta
+from qcong import basis, congruence, eta, series
 from qcong.basis import basis_element, basis_family
 from qcong.primes import PrimeContext
 from qcong.series import PrecisionError, agree, val_p
@@ -132,12 +132,57 @@ class TestResidueSweep:
         verify_theorem2(ctx, m_max=1, d_max=1, base_prec=16)
         assert moduli == [p**k] and p ** (k - 1) < 2**64 <= p**k
         # m <= 12 includes pole orders divisible by p, and even ones built as
-        # squares; n = 0, 1, 2 give the shortest operands
-        for n in (0, 1, 2, 64):
+        # squares; n = 0, 1, 2 give the shortest operands, n = 768 the length
+        # the benchmark times
+        for n in (0, 1, 2, 64, 768):
             residues = residue_family(ctx, 12, n, p**k)
             for m, e in enumerate(basis_family(ctx, 12, n)[1:], start=1):
                 assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
                 assert residues[m].coeffs == tuple(c % p**k for c in e.series.coeffs)
+
+    @pytest.mark.parametrize("modulus", [2**64, 7**23])
+    def test_packed_combination_at_the_largest_residues(self, modulus):
+        # the limb of the residue family; 1023 is the longest run that shares
+        # it with the benchmark's 781, both giving bit_length(2 size) = 11
+        size, m = 1023, 12
+        bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+        top = [modulus - 1] * size
+        packed = series._ks2_pack(top, bits, size)
+        terms = [(modulus - 1, m - k, packed) for k in range(m - 1, 0, -1)]
+        # every operand, f_k and c_k at modulus - 1 gives the largest kept
+        # coefficients; zero operands under the same terms, the most negative
+        for a in (top, [0] * size):
+            a_packed = series._ks2_pack(a, bits, size)
+            got = series._ks2_mul_sub(a_packed, a_packed, terms, bits, size)
+            want = series._school_mul(a, a, size)
+            for c, shift, _ in terms:
+                want[shift:] = [x - c * y for x, y in zip(want[shift:], top)]
+            assert got == want
+            assert [x % modulus for x in got] == [x % modulus for x in want]
+
+    def test_the_packed_route_stops_at_the_decimal_crossover(self, monkeypatch):
+        ctx, n = PrimeContext(2), 768
+        eta.psi(ctx, n + 11)  # from the store from here on, with no product
+        exact = [e.series.coeffs for e in basis_family(ctx, 12, n)[1:]]
+        calls = []
+
+        def spy(module, name):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or f(*args))
+
+        spy(basis, "mul_int_lists")  # the list step's product
+        spy(series, "_decimal_kronecker")
+
+        def residues():
+            return [f.coeffs for f in congruence._residue_family(ctx, 12, n, 2**64)[1:]]
+
+        want = [tuple(c % 2**64 for c in f) for f in exact]
+        assert residues() == want and calls == []
+        # size * bits = 781 * 141 at the default cutoff of 200,000; below
+        # it, every step is a list step whose product goes to libmpdec
+        monkeypatch.setattr(series, "_DECIMAL_CUTOFF", 781 * 141 // 2)
+        assert residues() == want
+        assert calls == ["mul_int_lists", "_decimal_kronecker"] * 11
 
     def test_a_zero_residue_falls_back_to_the_same_report(self, monkeypatch):
         ctx = PrimeContext(2)
