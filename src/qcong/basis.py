@@ -1,12 +1,16 @@
 """The canonical pole-order basis and polynomial extraction in phi.
 
-Basis elements q^{-m} + O(1) are built by one Faber step on int lists, exact
-or mod p^K: an even f_m starts from f_(m/2)^2, an odd one from psi f_(m-1),
-and the principal part is cleared greedily against f_(m-1), ..., f_1, each of
-which has the single pole term q^{-k}, so the reduction is triangular and
-never needs a linear solve.  The polynomial in psi that f_m is comes on
-demand from the Lagrange-Faber formula.  Each f_m and each power of phi is
-kept in the store of ``eta``.
+Basis elements q^{-m} + O(1) are built by one Faber step: an even f_m starts
+from f_(m/2)^2, an odd one from psi f_(m-1), and the principal part is
+cleared greedily against f_(m-1), ..., f_1, each of which has the single pole
+term q^{-k}, so the reduction is triangular and never needs a linear solve.
+The exact family takes the step on int lists.  A family of residues mod p^K
+takes it on values packed for the binary Kronecker kernel, each f_k packed
+once: the multipliers come from the first m coefficients, and the product
+less the cleared principal part is formed on the packed values and unpacked
+once.  The polynomial in psi that f_m is comes on demand from the
+Lagrange-Faber formula.  Each f_m and each power of phi is kept in the store
+of ``eta``.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 from .eta import _longest, phi, psi
 from .primes import PrimeContext
-from .series import PrecisionError, QSeries, mul_int_lists
+from .series import PrecisionError, QSeries, _ks2_mul_sub, _school_mul, mul_int_lists
 
 
 class NotPolynomialError(ValueError):
@@ -167,25 +171,47 @@ def _eliminate(s: QSeries, powers, degrees):
     return s, coeffs
 
 
-def _faber_step(ps, fam: list, modulus: int | None = None) -> list:
-    """f_m for m = len(fam) >= 2 as an int list q^-m .. q^(prec-m+1), from
-    psi (q^-1 .. q^prec) and fam = [f_0, ..., f_(m-1)] in that layout, mod
-    modulus if one is given.  An even f_m starts from f_(m/2)^2, an odd one
-    from psi f_(m-1); clearing q^-(m-1) .. q^-1 against f_(m-1) .. f_1 gives
-    f_m, constant included, from either: no step clears a constant, so each
-    f_k, k >= 1, and either product lie in psi Z[psi], and f_m is the one
-    element there with principal part q^-m."""
-    m = len(fam)
-    a, b = (fam[m // 2],) * 2 if m % 2 == 0 else (ps, fam[m - 1])
-    t = mul_int_lists(a, b, len(ps))
-    for k in range(m - 1, 0, -1):
-        c = t[m - k] if modulus is None else t[m - k] % modulus
-        t[m - k :] = [x - c * y for x, y in zip(t[m - k :], fam[k])]
-    if modulus is not None:
-        t = [x % modulus for x in t]
+def _factors(m: int) -> tuple:
+    """(i, j) with f_m started from f_i f_j: f_(m/2)^2 for an even m, psi
+    f_(m-1) for an odd one.  No step clears a constant, so each f_k, k >= 1,
+    and either product lie in psi Z[psi], and f_m is the one element there
+    with principal part q^-m."""
+    return (m // 2,) * 2 if m % 2 == 0 else (1, m - 1)
+
+
+def _normalized(t: list, m: int) -> list:
     if t[0] != 1 or any(t[1:m]):
         raise ArithmeticError("basis reduction failed to normalize the principal part")
     return t
+
+
+def _faber_step(fam: list) -> list:
+    """f_m for m = len(fam) >= 2 as an int list q^-m .. q^(prec-m+1), from
+    fam = [f_0, ..., f_(m-1)] in that layout, f_1 = psi: the product of
+    ``_factors(m)`` with q^-(m-1) .. q^-1 cleared against f_(m-1) .. f_1."""
+    m = len(fam)
+    i, j = _factors(m)
+    t = mul_int_lists(fam[i], fam[j], len(fam[1]))
+    for k in range(m - 1, 0, -1):
+        c = t[m - k]
+        t[m - k :] = [x - c * y for x, y in zip(t[m - k :], fam[k])]
+    return _normalized(t, m)
+
+
+def _packed_faber_step(fam: list, packs: list, bits: int, modulus: int) -> list:
+    """``_faber_step(fam)`` mod modulus for residues fam[k] < modulus, with
+    packs[k] = ``_ks2_pack(fam[k], bits, len(fam[1]))`` for 1 <= k < m.  The
+    product less sum c_k x^(m-k) f_k is formed on the packed values,
+    unpacked once and reduced once."""
+    m = len(fam)
+    i, j = _factors(m)
+    # f_k has no pole term but q^-k, so clearing q^-k leaves every other
+    # pole term as it was: c_k is the product's own coefficient at q^-k,
+    # which its first m coefficients give
+    head = _school_mul(fam[i][:m], fam[j][:m], m)
+    terms = [(head[m - k] % modulus, m - k, packs[k]) for k in range(m - 1, 0, -1)]
+    t = _ks2_mul_sub(packs[i], packs[j], terms, bits, len(fam[1]))
+    return _normalized([x % modulus for x in t], m)
 
 
 def basis_family(ctx: PrimeContext, m_max: int, n: int):
@@ -199,7 +225,7 @@ def basis_family(ctx: PrimeContext, m_max: int, n: int):
     ps = psi(ctx, prec) if m_max else None
     for m in range(1, m_max + 1):
         f = _longest(("f", ctx, m), prec - m + 1, lambda: ps if m == 1 else QSeries(
-            _faber_step(ps.coeffs, [s.coeffs for s in fam]), -m, prec - m + 1))
+            _faber_step([s.coeffs for s in fam]), -m, prec - m + 1))
         fam.append(f.truncate(prec - m + 1))
     return tuple(BasisElement(ctx, m, s) for m, s in enumerate(fam))
 

@@ -5,23 +5,17 @@ The divisibility sweep runs the Faber step of ``basis_family`` mod p^K,
 p^K >= 2^64, and reads the exact coefficient only where a residue is 0 or
 the case fails; every other reader takes the exact ``basis_family``.  Every
 residue is below p^K, which fixes the binary Kronecker limb of the whole
-family in advance, so psi and each f_m are packed once, and each step's
-product less the cleared principal part is formed on the packed values.
-That route holds while length * limb stays below the kernel's decimal
-crossover, ``series._DECIMAL_CUTOFF``; past it the step runs on int lists,
-whose products go to the decimal radix."""
+family in advance, so psi and each f_m are packed once, and each step runs
+on the packed values (``basis._packed_faber_step``)."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .basis import _faber_step, basis_family, express_in_phi, phi_powers
+from .basis import _packed_faber_step, basis_family, express_in_phi, phi_powers
 from .eta import _longest, euler_product, psi
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
-from . import series
-from .series import (
-    PrecisionError, QSeries, _ks2_mul_sub, _ks2_pack, _school_mul, _val_p_int, val_p,
-)
+from .series import PrecisionError, QSeries, _ks2_pack, _val_p_int, val_p
 
 
 def bound(ctx: PrimeContext, d: int) -> int:
@@ -68,31 +62,10 @@ def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int
 _RESIDUE_BITS = 64  # the sweep's modulus p^K: the least with p^K >= 2^64
 
 
-def _packed_faber_step(fam: list, packs: list, bits: int, modulus: int) -> list:
-    """``_faber_step(fam[1], fam, modulus)``, with packs[k] the pair
-    ``_ks2_pack(fam[k], bits, len(fam[1]))`` for 1 <= k < len(fam): the
-    multipliers c_k come from the first m coefficients of the product alone,
-    and a b - sum c_k x^(m-k) f_k is formed on the packed values, unpacked
-    once and reduced once."""
-    m = len(fam)
-    i, j = (m // 2,) * 2 if m % 2 == 0 else (1, m - 1)
-    head = _school_mul(fam[i][:m], fam[j][:m], m)
-    terms = []
-    for k in range(m - 1, 0, -1):
-        c = head[m - k] % modulus
-        head[m - k :] = [x - c * y for x, y in zip(head[m - k :], fam[k])]
-        terms.append((c, m - k, packs[k]))
-    t = [x % modulus for x in _ks2_mul_sub(packs[i], packs[j], terms, bits, len(fam[1]))]
-    if t[0] != 1 or any(t[1:m]):
-        raise ArithmeticError("basis reduction failed to normalize the principal part")
-    return t
-
-
 def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
-    to n + m_max - m: the same Faber step, from the exact psi of the store
-    reduced once.  Below the kernel's decimal crossover the step runs on
-    packed values, each f_k packed once; above it, on int lists."""
+    to n + m_max - m: the same Faber step on packed values, from the exact
+    psi of the store reduced once."""
     prec = n + m_max - 1
     ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
     fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
@@ -100,14 +73,10 @@ def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     # a kept coefficient of a b - sum c_k x^(m-k) f_k, every operand a
     # residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2
     bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
-    packed = size * bits < series._DECIMAL_CUTOFF
     packs = [None]  # packs[k] is f_k packed, made once, just before f_(k+1)
     for m in range(2, m_max + 1):
-        if packed:
-            packs.append(_ks2_pack(fam[m - 1], bits, size))
-            fam.append(_packed_faber_step(fam, packs, bits, modulus))
-        else:
-            fam.append(_faber_step(ps, fam, modulus))
+        packs.append(_ks2_pack(fam[m - 1], bits, size))
+        fam.append(_packed_faber_step(fam, packs, bits, modulus))
     return [QSeries(f, -m, prec - m + 1) for m, f in enumerate(fam)]
 
 

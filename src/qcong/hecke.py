@@ -95,7 +95,7 @@ def rp_report(ctx: PrimeContext, poly: PhiPolynomial) -> RpReport:
     return RpReport(poly, t >= 0, t, per_degree)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PowerSumRow:
     n: int
     observed_t: object
@@ -147,7 +147,7 @@ def verify_hpoly_relation(ctx: PrimeContext, n: int = 128) -> QSeries:
     return lhs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ClosureTrial:
     index: int
     poly: PhiPolynomial

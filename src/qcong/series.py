@@ -117,6 +117,14 @@ def _school_mul(a, b, length=None):
     return out
 
 
+def _ks2_limb(bits):
+    """(nbytes, n, half, off_limb) of the packed format for a limb of `bits`:
+    limbs of nbytes whole bytes, 2n bits, each coefficient offset by half so
+    that its limb is nonnegative, and off_limb that offset as one limb."""
+    nbytes = (bits + 7) // 8
+    return nbytes, 4 * nbytes, 1 << (8 * nbytes - 1), b"\x00" * (nbytes - 1) + b"\x80"
+
+
 def _ks2_pack(coeffs, bits, m):
     """(A(2^n), A(-2^n)) for A = sum c_i x^i over c_0 .. c_(m-1), in limbs of
     whole bytes at least `bits` wide, 2n bits each; every coefficient must
@@ -126,11 +134,8 @@ def _ks2_pack(coeffs, bits, m):
     # n half the limb, so that each multiply of two packed values is half as
     # wide; the even- and the odd-indexed coefficients go into limbs offset to
     # be nonnegative: A(+-2^n) = A_even +- 2^n A_odd
-    nbytes = (bits + 7) // 8
-    n = 4 * nbytes
-    half = 1 << (2 * n - 1)
+    nbytes, n, half, off_limb = _ks2_limb(bits)
     limbs = [(c + half).to_bytes(nbytes, "little") for c in coeffs[:m]]
-    off_limb = b"\x00" * (nbytes - 1) + b"\x80"
     even, odd = [int.from_bytes(b"".join(h), "little")
                  - int.from_bytes(off_limb * len(h), "little")
                  for h in (limbs[0::2], limbs[1::2])]
@@ -141,10 +146,7 @@ def _ks2_unpack(plus, minus, bits, m):
     """c_0 .. c_(m-1) of C from C(2^n) and C(-2^n), packed as by
     ``_ks2_pack``; every kept c_k must satisfy 4|c_k| < 2^bits, and C may have
     further coefficients of any size."""
-    nbytes = (bits + 7) // 8
-    n = 4 * nbytes
-    half = 1 << (2 * n - 1)
-    off_limb = b"\x00" * (nbytes - 1) + b"\x80"
+    nbytes, n, half, off_limb = _ks2_limb(bits)
 
     def limbs(packed, count):
         # the limbs from `count` on only carry upward, so the low `count`
@@ -168,7 +170,7 @@ def _ks2_mul_sub(a, b, terms, bits, m):
     and each F are pairs from ``_ks2_pack`` with this limb: x^s is the scalar
     (+-2^n)^s at the two points, so the combination costs two multiplies,
     a scalar multiply and a shift per term, and one unpack."""
-    n = 4 * ((bits + 7) // 8)
+    n = _ks2_limb(bits)[1]
     plus, minus = a[0] * b[0], a[1] * b[1]
     for c, s, (f_plus, f_minus) in terms:
         plus -= (c * f_plus) << (n * s)

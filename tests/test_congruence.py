@@ -160,30 +160,6 @@ class TestResidueSweep:
             assert got == want
             assert [x % modulus for x in got] == [x % modulus for x in want]
 
-    def test_the_packed_route_stops_at_the_decimal_crossover(self, monkeypatch):
-        ctx, n = PrimeContext(2), 768
-        eta.psi(ctx, n + 11)  # from the store from here on, with no product
-        exact = [e.series.coeffs for e in basis_family(ctx, 12, n)[1:]]
-        calls = []
-
-        def spy(module, name):
-            f = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or f(*args))
-
-        spy(basis, "mul_int_lists")  # the list step's product
-        spy(series, "_decimal_kronecker")
-
-        def residues():
-            return [f.coeffs for f in congruence._residue_family(ctx, 12, n, 2**64)[1:]]
-
-        want = [tuple(c % 2**64 for c in f) for f in exact]
-        assert residues() == want and calls == []
-        # size * bits = 781 * 141 at the default cutoff of 200,000; below
-        # it, every step is a list step whose product goes to libmpdec
-        monkeypatch.setattr(series, "_DECIMAL_CUTOFF", 781 * 141 // 2)
-        assert residues() == want
-        assert calls == ["mul_int_lists", "_decimal_kronecker"] * 11
-
     def test_a_zero_residue_falls_back_to_the_same_report(self, monkeypatch):
         ctx = PrimeContext(2)
         calls = []
