@@ -4,13 +4,14 @@ Basis elements q^{-m} + O(1) are built by one Faber step: an even f_m starts
 from f_(m/2)^2, an odd one from psi f_(m-1), and the principal part is
 cleared greedily against f_(m-1), ..., f_1, each of which has the single pole
 term q^{-k}, so the reduction is triangular and never needs a linear solve.
-The exact family takes the step on int lists.  A family of residues mod p^K
-takes it on values packed for the binary Kronecker kernel, each f_k packed
-once: the multipliers come from the first m coefficients, and the product
-less the cleared principal part is formed on the packed values and unpacked
-once.  The polynomial in psi that f_m is comes on demand from the
-Lagrange-Faber formula.  Each f_m and each power of phi is kept in the store
-of ``eta``.
+Both families are built here: the exact one (``basis_family``) takes the
+step on int lists, and the residues mod p^K that the divisibility sweep reads
+(``_residue_family``) take it on values packed for the binary Kronecker
+kernel, each f_k packed once: the multipliers come from the first m
+coefficients, and the product less the cleared principal part is formed on
+the packed values and unpacked once.  The polynomial in psi that f_m is
+comes on demand from the Lagrange-Faber formula.  Each exact f_m and each
+power of phi is kept in the store of ``eta``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .eta import _longest, phi, psi
 from .primes import PrimeContext
-from .series import PrecisionError, QSeries, _ks2_mul_sub, _school_mul, mul_int_lists
+from .series import PrecisionError, QSeries, _ks2_mul_sub, _ks2_pack, _school_mul, mul_int_lists
 
 
 class NotPolynomialError(ValueError):
@@ -198,22 +199,6 @@ def _faber_step(fam: list) -> list:
     return _normalized(t, m)
 
 
-def _packed_faber_step(fam: list, packs: list, bits: int, modulus: int) -> list:
-    """``_faber_step(fam)`` mod modulus for residues fam[k] < modulus, with
-    packs[k] = ``_ks2_pack(fam[k], bits, len(fam[1]))`` for 1 <= k < m.  The
-    product less sum c_k x^(m-k) f_k is formed on the packed values,
-    unpacked once and reduced once."""
-    m = len(fam)
-    i, j = _factors(m)
-    # f_k has no pole term but q^-k, so clearing q^-k leaves every other
-    # pole term as it was: c_k is the product's own coefficient at q^-k,
-    # which its first m coefficients give
-    head = _school_mul(fam[i][:m], fam[j][:m], m)
-    terms = [(head[m - k] % modulus, m - k, packs[k]) for k in range(m - 1, 0, -1)]
-    t = _ks2_mul_sub(packs[i], packs[j], terms, bits, len(fam[1]))
-    return _normalized([x % modulus for x in t], m)
-
-
 def basis_family(ctx: PrimeContext, m_max: int, n: int):
     """Basis elements for pole orders 0..m_max, f_m known to n + m_max - m,
     read from the shared store.  Each f_m there stays at the longest
@@ -228,6 +213,34 @@ def basis_family(ctx: PrimeContext, m_max: int, n: int):
             _faber_step([s.coeffs for s in fam]), -m, prec - m + 1))
         fam.append(f.truncate(prec - m + 1))
     return tuple(BasisElement(ctx, m, s) for m, s in enumerate(fam))
+
+
+def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
+    """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
+    to n + m_max - m, from the exact psi of the store reduced once.  Every
+    residue is below modulus, which fixes the binary Kronecker limb of the
+    whole family, so each f_k is packed once, and each step forms the
+    product less sum c_k x^(m-k) f_k on the packed values, unpacked and
+    reduced once."""
+    prec = n + m_max - 1
+    ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
+    fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
+    size = len(ps)
+    # a kept coefficient of a b - sum c_k x^(m-k) f_k, every operand a
+    # residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2
+    bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+    packs = [None]  # packs[k] is f_k packed, made once, just before f_(k+1)
+    for m in range(2, m_max + 1):
+        packs.append(_ks2_pack(fam[m - 1], bits, size))
+        i, j = _factors(m)
+        # f_k has no pole term but q^-k, so clearing q^-k leaves every other
+        # pole term as it was: c_k is the product's own coefficient at q^-k,
+        # which its first m coefficients give
+        head = _school_mul(fam[i][:m], fam[j][:m], m)
+        terms = [(head[m - k] % modulus, m - k, packs[k]) for k in range(m - 1, 0, -1)]
+        t = _ks2_mul_sub(packs[i], packs[j], terms, bits, size)
+        fam.append(_normalized([x % modulus for x in t], m))
+    return [QSeries(f, -m, prec - m + 1) for m, f in enumerate(fam)]
 
 
 def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:

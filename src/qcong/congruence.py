@@ -1,21 +1,22 @@
 """Valuation sweeps: the divisibility theorems, the valuation table, the
 j-invariant comparison row, and the exploratory scans.
 
-The divisibility sweep runs the Faber step of ``basis_family`` mod p^K,
-p^K >= 2^64, and reads the exact coefficient only where a residue is 0 or
-the case fails; every other reader takes the exact ``basis_family``.  Every
-residue is below p^K, which fixes the binary Kronecker limb of the whole
-family in advance, so psi and each f_m are packed once, and each step runs
-on the packed values (``basis._packed_faber_step``)."""
+The divisibility sweep reads the basis mod p^K, p^K >= 2^64, from
+``basis._residue_family``, and the exact coefficient only where a residue is
+0 or the case fails; every other reader takes the exact ``basis_family``.
+The sweep and the scans read U_p^beta of a series through one reader,
+``_decimations``, which yields the coefficients at n = 1 .. top of each
+decimation as one slice.  Both families of the basis are built in
+``basis`` alone."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .basis import _packed_faber_step, basis_family, express_in_phi, phi_powers
-from .eta import _longest, euler_product, psi
+from .basis import _residue_family, basis_family, express_in_phi, phi_powers
+from .eta import _longest, euler_product
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
-from .series import PrecisionError, QSeries, _ks2_pack, _val_p_int, val_p
+from .series import PrecisionError, QSeries, _val_p_int, val_p
 
 
 def bound(ctx: PrimeContext, d: int) -> int:
@@ -62,22 +63,16 @@ def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int
 _RESIDUE_BITS = 64  # the sweep's modulus p^K: the least with p^K >= 2^64
 
 
-def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
-    """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
-    to n + m_max - m: the same Faber step on packed values, from the exact
-    psi of the store reduced once."""
-    prec = n + m_max - 1
-    ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
-    fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
-    size = len(ps)
-    # a kept coefficient of a b - sum c_k x^(m-k) f_k, every operand a
-    # residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2
-    bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
-    packs = [None]  # packs[k] is f_k packed, made once, just before f_(k+1)
-    for m in range(2, m_max + 1):
-        packs.append(_ks2_pack(fam[m - 1], bits, size))
-        fam.append(_packed_faber_step(fam, packs, bits, modulus))
-    return [QSeries(f, -m, prec - m + 1) for m, f in enumerate(fam)]
+def _decimations(s: QSeries, p: int, beta_max: int, n_max: int | None):
+    """For beta = 0 .. beta_max, the coefficients at n = 1 .. top of
+    U_p^beta s as one zero-padded slice, top = min(n_max, prec), or prec
+    when n_max is None."""
+    for beta in range(beta_max + 1):
+        if beta:
+            s = s.u_op(p)
+        top = s.prec if n_max is None else min(n_max, s.prec)
+        lead = min(max(s.val - 1, 0), top)
+        yield (0,) * lead + s.coeffs[max(1 - s.val, 0) : max(top + 1 - s.val, 0)]
 
 
 def verify_theorem2(
@@ -133,16 +128,10 @@ def verify_theorem2(
         for m in range(1, m_max + 1):
             alpha = val_p(m, p)
             m_prime = m // p**alpha
-            s = fam[m]
-            for beta in range(1, alpha + d_max + 1):
-                s = s.u_op(p)
+            for beta, run in enumerate(_decimations(fam[m], p, alpha + d_max, n_max)):
                 if beta <= alpha:
                     continue
                 required = bounds[beta - alpha]
-                # the coefficients at n = 1 .. top, in one slice of the run
-                top = s.prec if n_max is None else n_max
-                lead = min(max(s.val - 1, 0), top)
-                run = (0,) * lead + s.coeffs[max(1 - s.val, 0) : max(top + 1 - s.val, 0)]
                 for n, c in enumerate(run, 1):
                     observed = _val_p_int(c, p)  # math.inf for c = 0
                     ok = observed >= required
@@ -257,15 +246,8 @@ def scan_alpha_gt_beta(ctx: PrimeContext, m_max: int, n_max: int):
     fam = basis_family(ctx, m_max, default_base_precision(ctx, m_max, 0, n_max))
     rows = []
     for m in ms:
-        alpha = val_p(m, p)
-        s = fam[m].series
-        for beta in range(0, alpha + 1):
-            if beta:
-                s = s.u_op(p)
-            for n in range(1, n_max + 1):
-                if n % p == 0 or not s.known(n):
-                    continue
-                rows.append((m, beta, n, val_p(s.coeff(n), p)))
+        for beta, run in enumerate(_decimations(fam[m].series, p, val_p(m, p), n_max)):
+            rows += [(m, beta, n, _val_p_int(c, p)) for n, c in enumerate(run, 1) if n % p]
     return rows
 
 
@@ -279,13 +261,8 @@ def scan_phi_powers(ctx: PrimeContext, pow_max: int, d_max: int, n_max: int):
         raise ValueError("n_max must be at least 1")
     rows = []
     for k, s in enumerate(phi_powers(ctx, pow_max, default_base_precision(ctx, 0, d_max, n_max))):
-        for beta in range(0, d_max + 1):
-            if beta:
-                s = s.u_op(ctx.p)
-            for n in range(1, n_max + 1):
-                if not s.known(n):
-                    continue
-                rows.append((k, beta, n, val_p(s.coeff(n), ctx.p)))
+        for beta, run in enumerate(_decimations(s, ctx.p, d_max, n_max)):
+            rows += [(k, beta, n, _val_p_int(c, ctx.p)) for n, c in enumerate(run, 1)]
     return rows
 
 
@@ -312,7 +289,7 @@ def decompose_up_step(ctx: PrimeContext, m: int) -> UpStepDecomposition:
         raise ValueError("m must be positive")
     p = ctx.p
     base_prec = max(256, p * (m + 24))
-    # psi at precision base_prec whatever m is, so that the pole orders share
+    # f_1 at precision base_prec whatever m is, so that the pole orders share
     # one growing family; f_m is known to base_prec - m + 1
     fam = basis_family(ctx, m, base_prec - m + 1)
     s = fam[m].series.u_op(p)
@@ -320,7 +297,7 @@ def decompose_up_step(ctx: PrimeContext, m: int) -> UpStepDecomposition:
     if m % p == 0:
         lower = m // p
         s = s - fam[lower].series
-    constant, poly = express_in_phi(ctx, s, max(m, 1))
+    constant, poly = express_in_phi(ctx, s, m)
     vals = {}
     floors = {}
     ok = True

@@ -181,9 +181,9 @@ def verify_up_closure(
     if deg_max < 1:
         raise ValueError("deg_max must be positive")
     p = ctx.p
-    if n is None:
-        n = max(256, p * (p * deg_max + 16))
     need = _closure_precision(p, deg_max)
+    if n is None:
+        n = max(256, need)
     if n < need:  # checked before phi is built
         raise PrecisionError(f"precision {n} too low for deg_max {deg_max}: {need} suffices")
     results = []

@@ -180,9 +180,9 @@ def _ks2_mul_sub(a, b, terms, bits, m):
 
 def _binary_kronecker(a, b, bits, length=None):
     m = len(a) + len(b) - 1 if length is None else length
-    a_plus, a_minus = _ks2_pack(a, bits, m)
-    b_plus, b_minus = (a_plus, a_minus) if b is a else _ks2_pack(b, bits, m)
-    return _ks2_unpack(a_plus * b_plus, a_minus * b_minus, bits, m)
+    pa = _ks2_pack(a, bits, m)
+    pb = pa if b is a else _ks2_pack(b, bits, m)
+    return _ks2_mul_sub(pa, pb, (), bits, m)
 
 
 # Every operation on a packed Decimal goes through this context: the
@@ -409,9 +409,6 @@ class QSeries:
         if n < self.val:
             return 0
         return self.coeffs[n - self.val]
-
-    def known(self, n: int) -> bool:
-        return n <= self.prec
 
     def terms(self):
         """Iterate (exponent, coefficient) over nonzero stored coefficients."""

@@ -16,7 +16,7 @@ from qcong.congruence import (
     verify_theorem2,
 )
 from qcong import basis, congruence, eta, series
-from qcong.basis import basis_element, basis_family
+from qcong.basis import basis_element, basis_family, phi_powers
 from qcong.primes import PrimeContext
 from qcong.series import PrecisionError, agree, val_p
 
@@ -189,13 +189,12 @@ class TestResidueSweep:
         assert max(abs(c.value) for c in report.failures) >= 2**64
 
     def test_a_wrong_leading_residue_raises(self, monkeypatch):
-        psi = congruence.psi
-        monkeypatch.setattr(congruence, "psi", lambda ctx, n: 2 * psi(ctx, n))
+        # basis builds both families from its own psi
+        psi = basis.psi
+        monkeypatch.setattr(basis, "psi", lambda ctx, n: 2 * psi(ctx, n))
         with pytest.raises(ArithmeticError, match="principal part"):
             verify_theorem2(PrimeContext(3), m_max=2, d_max=1, base_prec=64)
-        # the exact family takes the same step, and the same guard, from a
-        # store that keeps no f_m
-        monkeypatch.setattr(basis, "psi", lambda ctx, n: 2 * psi(ctx, n))
+        # the exact family takes the same guard, from a store that keeps no f_m
         monkeypatch.setattr(eta, "_kept", {})
         with pytest.raises(ArithmeticError, match="principal part"):
             basis_family(PrimeContext(3), 2, 64)
@@ -288,6 +287,40 @@ class TestScans:
 
     def test_alpha_scan_empty_when_no_multiples(self):
         assert scan_alpha_gt_beta(PrimeContext(7), 6, 10) == []
+
+    @staticmethod
+    def _read(s, p, beta_max, n_max):
+        """(beta, n, v_p) for each n = 1 .. n_max that U_p^beta s knows, by
+        explicit U_p steps and one coefficient at a time."""
+        rows = []
+        for beta in range(beta_max + 1):
+            if beta:
+                s = s.u_op(p)
+            rows += [(beta, n, val_p(s.coeff(n), p)) for n in range(1, n_max + 1) if n <= s.prec]
+        return rows
+
+    @pytest.mark.parametrize("p, m_max", [(2, 8), (3, 9)])
+    def test_alpha_scan_reads_every_decimation(self, p, m_max):
+        ctx = PrimeContext(p)
+        fam = basis_family(ctx, m_max, default_base_precision(ctx, m_max, 0, 32))
+        want = [
+            (m, beta, n, v)
+            for m in range(p, m_max + 1, p)
+            for beta, n, v in self._read(fam[m].series, p, val_p(m, p), 32)
+            if n % p
+        ]
+        assert scan_alpha_gt_beta(ctx, m_max, 32) == want
+
+    # p = 2 with 20 powers: at base precision 17 (d_max 0, n_max 1) phi^18 ..
+    # phi^20 are zero, and at 24 (d_max 1, n_max 4) U_2 phi^k starts past n = 4
+    @pytest.mark.parametrize("p, pow_max, d_max, n_max", [
+        (7, 3, 2, 32), (2, 20, 0, 1), (2, 20, 1, 4),
+    ])
+    def test_phi_power_scan_reads_every_decimation(self, p, pow_max, d_max, n_max):
+        ctx = PrimeContext(p)
+        powers = phi_powers(ctx, pow_max, default_base_precision(ctx, 0, d_max, n_max))
+        want = [(k, *row) for k, s in enumerate(powers) for row in self._read(s, p, d_max, n_max)]
+        assert scan_phi_powers(ctx, pow_max, d_max, n_max) == want
 
     def test_phi_power_scan_shape(self):
         rows = scan_phi_powers(PrimeContext(3), 2, 1, 5)

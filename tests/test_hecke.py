@@ -284,6 +284,16 @@ class TestClosure:
         with pytest.raises(AssertionError, match="phi was built"):
             verify_up_closure(PrimeContext(p), trials=1, deg_max=4, n=need)
 
+    def test_the_default_precision_is_the_one_enforced(self, monkeypatch):
+        # at p = 7 the floor p (p deg_max + 8) = 252 rounds up to 256, and
+        # phi is built no longer than that
+        built = []
+        build = eta._build_phi
+        monkeypatch.setattr(eta, "_kept", {})
+        monkeypatch.setattr(eta, "_build_phi", lambda ctx, n: built.append(n) or build(ctx, n))
+        assert verify_up_closure(PrimeContext(7)).ok
+        assert built == [256]
+
     def test_deterministic(self):
         a = verify_up_closure(PrimeContext(3), trials=5, deg_max=2, seed=1)
         b = verify_up_closure(PrimeContext(3), trials=5, deg_max=2, seed=1)
