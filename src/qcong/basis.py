@@ -11,7 +11,8 @@ kernel, each f_k packed once: the multipliers come from the first m
 coefficients, and the product less the cleared principal part is formed on
 the packed values and unpacked once.  The polynomial in psi that f_m is
 comes on demand from the Lagrange-Faber formula.  Each exact f_m and each
-power of phi is kept in the store of ``eta``.
+power of phi is kept in the store of ``eta``.  The precision that writing U_p
+of a series in phi needs is stated once, by ``_up_precision``.
 """
 from __future__ import annotations
 
@@ -249,6 +250,11 @@ def basis_element(ctx: PrimeContext, m: int, n: int) -> BasisElement:
 
 
 _PHI_GUARD = 8  # coefficients of s beyond maxdeg, which must cancel too
+
+
+def _up_precision(p: int, maxdeg: int) -> int:
+    """Least n for which U_p of a series known to n (n // p terms) is read in phi to maxdeg."""
+    return p * (maxdeg + _PHI_GUARD)
 
 
 def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):

@@ -22,7 +22,7 @@ import traceback
 from fractions import Fraction
 
 from . import congruence, eta, hecke
-from .basis import basis_element
+from .basis import _up_precision, basis_element
 from .congruence import j_series
 from .primes import PrimeContext
 from .series import PrecisionError
@@ -228,7 +228,7 @@ def _lehner(args, ctx):
 
 
 def _modeq(args, ctx):
-    prec = _precision(args, default=128)
+    prec = _precision(args, minimum=_up_precision(ctx.p, ctx.p), default=128)
     eq = hecke.derive_bj(ctx, prec)
     expected = hecke.BJ_TABLE[ctx.p]
     ok = eq.b == expected
@@ -275,7 +275,7 @@ def _closure(args, ctx):
         report = hecke.verify_up_closure(ctx, trials=args.trials, deg_max=args.deg_max,
                                          n=prec, seed=args.seed)
     except PrecisionError as exc:
-        need = hecke._closure_precision(ctx.p, args.deg_max)
+        need = _up_precision(ctx.p, ctx.p * args.deg_max)
         raise UsageError(f"--precision {prec} is too low for --deg-max {args.deg_max}; "
                          f"--precision {need} suffices") from exc
     bad = [t for t in report.trials if not t.ok]
@@ -332,7 +332,8 @@ def _valuations(args, ctx):
 
 
 def _bj(args, ctx):
-    rows = list(enumerate(hecke.derive_bj(ctx, _precision(args, default=128)).b, start=1))
+    prec = _precision(args, minimum=_up_precision(ctx.p, ctx.p), default=128)
+    rows = list(enumerate(hecke.derive_bj(ctx, prec).b, start=1))
     lines = [f"modular-equation coefficients, p={ctx.p}"] + [f"  {j}  {b}" for j, b in rows]
     payload = {"p": ctx.p, "table": "bj", "rows": [[j, str(b)] for j, b in rows]}
     return payload, [("j", "b_j")] + rows, lines

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .basis import _residue_family, basis_family, express_in_phi, phi_powers
+from .basis import _residue_family, _up_precision, basis_family, express_in_phi, phi_powers
 from .eta import _longest, euler_product
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
 from .series import PrecisionError, QSeries, _val_p_int, val_p
@@ -288,9 +288,8 @@ def decompose_up_step(ctx: PrimeContext, m: int) -> UpStepDecomposition:
     if m < 1:
         raise ValueError("m must be positive")
     p = ctx.p
-    base_prec = max(256, p * (m + 24))
-    # f_1 at precision base_prec whatever m is, so that the pole orders share
-    # one growing family; f_m is known to base_prec - m + 1
+    # f_m is known to base_prec - m + 1, f_1 to base_prec: one family serves every m
+    base_prec = max(256, _up_precision(p, m) + m - 1)
     fam = basis_family(ctx, m, base_prec - m + 1)
     s = fam[m].series.u_op(p)
     lower = None

@@ -123,7 +123,7 @@ def check_cusp_relation(ctx: PrimeContext, tau: complex) -> float:
     try:
         lhs = psi_eval(ctx, -1 / (ctx.p * tau))
         rhs = ctx.p ** (ctx.lam / 2) * phi_eval(ctx, tau)
-    except (ZeroDivisionError, OverflowError) as exc:
-        # an eta value underflows to 0, or a power of one overflows
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        # an eta value underflows to 0, a power overflows, or p tau does: -1/(p tau) is then 0
         raise ValueError(f"tau={tau} is beyond double range: {exc}") from exc
     return abs(lhs - rhs) / max(1.0, abs(rhs))

@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .basis import _PHI_GUARD, NotPolynomialError, PhiPolynomial, express_in_phi, phi_powers
+from .basis import NotPolynomialError, PhiPolynomial, _up_precision, express_in_phi, phi_powers
 from .eta import phi
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
 from .series import PrecisionError, QSeries, val_p
@@ -163,11 +163,6 @@ class ClosureReport:
     ok: bool
 
 
-def _closure_precision(p: int, deg_max: int) -> int:
-    # U_p leaves n // p coefficients, and express_in_phi needs p * deg_max + guard
-    return p * (p * deg_max + _PHI_GUARD)
-
-
 def verify_up_closure(
     ctx: PrimeContext,
     trials: int = 100,
@@ -181,7 +176,7 @@ def verify_up_closure(
     if deg_max < 1:
         raise ValueError("deg_max must be positive")
     p = ctx.p
-    need = _closure_precision(p, deg_max)
+    need = _up_precision(p, p * deg_max)
     if n is None:
         n = max(256, need)
     if n < need:  # checked before phi is built

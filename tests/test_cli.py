@@ -172,6 +172,19 @@ class TestVerify:
         code, _, err = capture(capsys, ["verify", "modeq", "--p", "2", "--precision", "4"])
         assert code == 2 and "precision" in err
 
+    @pytest.mark.parametrize("command", ["verify modeq", "table bj"])
+    def test_precision_below_the_up_rule_names_the_flag(self, capsys, command):
+        # U_p phi keeps N // p coefficients, and b_1..b_p need p + 8 of them
+        code, out, err = capture(capsys, f"{command} --p 7 --precision 16".split())
+        assert code == 2 and out == "" and err == "error: precision must be at least 105\n"
+
+    @pytest.mark.parametrize("tau", ["0+0.001i", "0+1e-30i", "0+1e5i", "0+1e308i"])
+    def test_cusp_beyond_double_range_names_the_point(self, capsys, tau):
+        # at 1e308i, p tau overflows and -1/(p tau) falls on the real axis
+        code, out, err = capture(capsys, ["verify", "cusp", "--tau", tau])
+        assert code == 2 and out == ""
+        assert err.startswith("error: tau=") and " is beyond double range: " in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -365,6 +378,7 @@ class TestUsageErrors:
             "verify cusp --tau 0+0.001i",
             "verify cusp --tau 0+1e-30i",
             "verify cusp --tau 0+1e5i",
+            "verify cusp --tau 0+1e308i",
             "verify cusp --tau 0+1e400i",
             "verify cusp --tau 1e400+1i",
             "expand --basis -1",
@@ -385,7 +399,7 @@ class TestUsageErrors:
              "flag-before-target", "table-flag-before-target", "cusp-tol-0", "cusp-tol-negative", "cusp-tol-nan",
              "lehner-n-max-beyond-precision", "theorem2-n-max-beyond-precision",
              "cusp-eta-underflows-small-tau", "cusp-eta-underflows-tiny-tau",
-             "cusp-eta-underflows-large-tau", "cusp-imag-overflows", "cusp-real-overflows",
+             "cusp-eta-underflows-large-tau", "cusp-p-tau-overflows", "cusp-imag-overflows", "cusp-real-overflows",
              "expand-basis-negative", "valuations-rows-empty", "valuations-cols-empty"],
     )
     def test_bad_argument_exits_2(self, capsys, argv):

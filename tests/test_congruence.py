@@ -381,6 +381,38 @@ class TestDecomposeUpStep:
         }
         assert all(len(built) == 1 for built in entries.values())
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_small_orders_build_psi_at_256(self, p, monkeypatch):
+        # the precision rule changes no size that a workload runs: from an
+        # empty store, m = 1..6 build psi once, at 256
+        monkeypatch.setattr(eta, "_kept", {})
+        asked = []
+        build = eta._build_psi
+        monkeypatch.setattr(eta, "_build_psi", lambda ctx, n: asked.append(n) or build(ctx, n))
+        for m in range(1, 7):
+            decompose_up_step(PrimeContext(p), m)
+        assert asked == [256]
+
+    def test_every_order_keeps_enough_after_one_step(self, monkeypatch):
+        # U_p leaves n // p coefficients of f_m, known to n, and writing the
+        # result in phi to degree m needs m + 8 of them; no series is built
+        class Asked(Exception):
+            pass
+
+        def asked(ctx, m_max, n):
+            raise Asked(n)
+
+        monkeypatch.setattr(congruence, "basis_family", asked)
+        for p in (2, 3, 5, 7):
+            for m in range(1, 201):
+                with pytest.raises(Asked) as exc:
+                    decompose_up_step(PrimeContext(p), m)
+                assert exc.value.args[0] // p >= m + 8, (p, m)
+
+    def test_first_order_the_old_precision_missed(self):
+        # max(256, p (m + 24)) left U_p f_59 at p = 3 with 66 < 59 + 8 coefficients
+        assert decompose_up_step(PrimeContext(3), 59).ok
+
 
 def test_default_base_precision_scales_with_depth():
     ctx = PrimeContext(3)
