@@ -4,6 +4,8 @@ Basis elements q^{-m} + O(1) are built by one Faber step: an even f_m starts
 from f_(m/2)^2, an odd one from psi f_(m-1), and the principal part is
 cleared greedily against f_(m-1), ..., f_1, each of which has the single pole
 term q^{-k}, so the reduction is triangular and never needs a linear solve.
+That reduction is ``_clear``, in place on one int list, and writing a series
+in phi is the same reduction against 1, phi, ..., phi^D from q^0.
 Both families are built here: the exact one (``basis_family``) takes the
 step on int lists, and the residues mod p^K that the divisibility sweep reads
 (``_residue_family``) take it on values packed for the binary Kronecker
@@ -63,9 +65,6 @@ class PhiPolynomial:
         if not isinstance(other, PhiPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         terms = " + ".join(
@@ -130,10 +129,6 @@ class BasisElement:
     series: QSeries
 
     @property
-    def prec(self) -> int:
-        return self.series.prec
-
-    @property
     def psi_poly(self) -> dict:
         """f_m as a polynomial in psi, {degree: int}, monic of degree m with
         no constant.  By Lagrange inversion of psi = 1/phi (the residue of
@@ -159,18 +154,17 @@ def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
     return tuple(t.truncate(n) if t.val <= n else QSeries.zero(n) for t in kept[: k + 1])
 
 
-def _eliminate(s: QSeries, powers, degrees):
-    """Clear the leading term of each monic powers[k] from s, in the order
-    of degrees, one series per cleared term; returns the residual and
-    {k: c} with s = residual + sum c * powers[k].  powers[0] is 1, cleared
-    as a scalar, which changes the constant of s alone."""
-    coeffs = {}
-    for k in degrees:
-        c = s.coeff(powers[k].val)
+def _clear(t: list, runs) -> dict:
+    """Clear t[o] against each monic run r (r[0] = 1) at offset o, in the
+    order given, in place: t[o : o + len(r)] -= t[o] * r.  Returns {o: c}
+    for each nonzero multiplier c; a zero one changes nothing."""
+    cleared = {}
+    for o, r in runs:
+        c = t[o]
         if c:
-            coeffs[k] = c
-            s = s._plus(-c, powers[k] if k else 1)
-    return s, coeffs
+            cleared[o] = c
+            t[o : o + len(r)] = [x - c * y for x, y in zip(t[o : o + len(r)], r)]
+    return cleared
 
 
 def _factors(m: int) -> tuple:
@@ -194,9 +188,7 @@ def _faber_step(fam: list) -> list:
     m = len(fam)
     i, j = _factors(m)
     t = mul_int_lists(fam[i], fam[j], len(fam[1]))
-    for k in range(m - 1, 0, -1):
-        c = t[m - k]
-        t[m - k :] = [x - c * y for x, y in zip(t[m - k :], fam[k])]
+    _clear(t, ((m - k, fam[k]) for k in range(m - 1, 0, -1)))
     return _normalized(t, m)
 
 
@@ -277,9 +269,11 @@ def express_in_phi(ctx: PrimeContext, s: QSeries, maxdeg: int):
         raise PrecisionError(
             f"precision {s.prec} too low for degree {maxdeg} (guard {_PHI_GUARD})"
         )
-    residual, coeffs = _eliminate(s, phi_powers(ctx, maxdeg, s.prec), range(maxdeg + 1))
-    if not residual.is_zero():
-        bad = residual.val
+    t = [0] * s.val + list(s.coeffs)  # q^0 .. q^prec
+    powers = phi_powers(ctx, maxdeg, s.prec)
+    coeffs = _clear(t, ((k, powers[k].coeffs if k else (1,)) for k in range(maxdeg + 1)))
+    bad = next((n for n, x in enumerate(t) if x), None)
+    if bad is not None:
         raise NotPolynomialError(
             f"not a phi-polynomial of degree <= {maxdeg}: residual at q^{bad}", bad
         )

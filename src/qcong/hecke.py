@@ -36,8 +36,11 @@ class RpReport:
 
 
 def derive_bj(ctx: PrimeContext, n: int = 128) -> ModularEquation:
-    """Recover the integers b_j from U_p phi = p * sum b_j phi^j, exactly."""
+    """Recover the integers b_j from U_p phi = p * sum b_j phi^j, exactly,
+    from phi known to n, at least p (p + 8) (else ``PrecisionError``)."""
     p = ctx.p
+    if n < (least := _up_precision(p, p)):
+        raise PrecisionError(f"precision must be at least {least}")
     constant, poly = express_in_phi(ctx, phi(ctx, n).u_op(p), p)
     if constant != 0:
         raise ArithmeticError("U_p phi unexpectedly has a constant term")

@@ -7,7 +7,7 @@ from qcong import basis, eta
 from qcong.basis import (
     NotPolynomialError,
     PhiPolynomial,
-    _eliminate,
+    _clear,
     basis_element,
     basis_family,
     express_in_phi,
@@ -63,8 +63,8 @@ class TestBasisElement:
             ctx = PrimeContext(p)
             for m in (2, 5, 9):
                 el = basis_element(ctx, m, 24)
-                powers = psi_powers(psi(ctx, el.prec + m - 1), m)
-                total = QSeries.zero(el.prec)
+                powers = psi_powers(psi(ctx, el.series.prec + m - 1), m)
+                total = QSeries.zero(el.series.prec)
                 for k, c in el.psi_poly.items():
                     total = total + c * powers[k]
                 assert total == el.series
@@ -93,8 +93,12 @@ def reference_family(ctx, m_max, n):
     powers = psi_powers(psi(ctx, n + m_max - 1), m_max)
     out = [(QSeries.one(n), {})]
     for m in range(1, m_max + 1):
-        r, coeffs = _eliminate(powers[m], powers, range(m - 1, 0, -1))
-        out.append((r, {m: 1} | {k: -c for k, c in coeffs.items()}))
+        r, poly = powers[m], {m: 1}
+        for k in range(m - 1, 0, -1):
+            if c := r.coeff(-k):
+                r = r - c * powers[k]
+                poly[k] = -c
+        out.append((r, poly))
     return out
 
 
@@ -233,6 +237,15 @@ class TestExpressInPhi:
                 with pytest.raises(TypeError, match="must be int"):
                     express_in_phi(C2, s, 4)
 
+    def test_fraction_zero_at_a_degree_reads_as_int(self):
+        # a zero multiplier is not kept and clears nothing, so a Fraction(0)
+        # read at degree 1 leaves the entries after it, and the result, int
+        sq = (phi(C2, 32) ** 2).truncate(30)
+        s = QSeries([1, Fraction(0), *sq.coeffs], 0, 30)
+        assert type(s.coeff(1)) is Fraction
+        const, poly = express_in_phi(C2, s, 4)
+        assert (const, poly) == (1, PhiPolynomial({2: 1})) and type(const) is int
+
     def test_rejects_ramified_input(self):
         with pytest.raises(ValueError, match="unramified"):
             express_in_phi(C2, phi(C2, 32).ramify(2), 2)
@@ -242,34 +255,34 @@ class TestExpressInPhi:
             express_in_phi(C2, phi(C2, 32), 0)
 
 
-def test_eliminate_builds_one_series_per_cleared_term(monkeypatch):
-    ps = psi(C2, 40)
-    powers = psi_powers(ps, 6)
-    built = []
-    normalize = QSeries._normalize  # every constructor runs it once
+def test_express_in_phi_forms_no_series_sum(monkeypatch):
+    # the elimination runs in place on one list: no cleared term builds a series
+    ph = phi(C2, 40)
+    s = (3 * ph**5 - 7 * ph**2 + ph + 11).truncate(36)
+    phi_powers(C2, 6, 36)
 
-    def spy(self, *args, **kwargs):
-        built.append(args)
-        normalize(self, *args, **kwargs)
+    def no_sum(*args):
+        raise AssertionError("express_in_phi formed a series sum")
 
-    monkeypatch.setattr(QSeries, "_normalize", spy)
-    _, coeffs = _eliminate(powers[6], powers, range(5, 0, -1))
-    assert len(coeffs) == 5
-    assert len(built) == len(coeffs)
+    monkeypatch.setattr(QSeries, "_plus", no_sum)
+    assert express_in_phi(C2, s, 6) == (11, PhiPolynomial({5: 3, 2: -7, 1: 1}))
 
 
-def test_eliminate_clears_a_fraction_constant_alone():
-    # degree 0 is cleared as a scalar: the other coefficients stay int
-    ps = psi(C2, 40)
-    powers = psi_powers(ps, 3)
-    s = powers[2] - 5 * powers[1] + Fraction(7, 2)
-    residual, coeffs = _eliminate(s, powers, range(2, -1, -1))
-    assert coeffs == {2: 1, 1: -5, 0: Fraction(7, 2)}
-    assert residual.is_zero()
-    residual, coeffs = _eliminate(s, powers, [0])
-    assert coeffs == {0: s.coeff(0)} and type(s.coeff(0)) is Fraction
-    assert residual == s - s.coeff(0) and residual.coeff(0) == 0
-    assert all(type(c) is int for _, c in residual.terms())
+class TestClear:
+    def test_clears_each_offset_in_order(self):
+        # phi^2 - 5 phi + 7/2 against 1, phi, phi^2, laid out from q^0
+        powers = phi_powers(C2, 2, 30)
+        s = powers[2] - 5 * powers[1] + Fraction(7, 2)
+        t = [0] * s.val + list(s.coeffs)
+        runs = [(0, (1,)), (1, powers[1].coeffs), (2, powers[2].coeffs)]
+        assert _clear(t, runs) == {0: Fraction(7, 2), 1: -5, 2: 1}
+        assert len(t) == 31 and not any(t)
+
+    def test_offset_zero_changes_the_constant_alone(self):
+        # degree 0 is cleared by the run (1,): the other entries stay int
+        t = [Fraction(7, 2), 5, -3, 8]
+        assert _clear(t, [(0, (1,))]) == {0: Fraction(7, 2)}
+        assert t == [0, 5, -3, 8] and all(type(x) is int for x in t[1:])
 
 
 class TestPhiPolynomial:

@@ -74,6 +74,22 @@ class TestDeriveBj:
             assert len(b) == p
             assert b[-1] == p**10
 
+    def test_low_precision_is_refused_before_phi_is_built(self, monkeypatch):
+        # the library states the U_p rule itself: it names the least n, not
+        # the n // p of U_p phi that express_in_phi would see
+        def no_phi(*args):
+            raise AssertionError("phi was built")
+
+        monkeypatch.setattr(eta, "_kept", {})
+        monkeypatch.setattr(eta, "_build_phi", no_phi)
+        with pytest.raises(series.PrecisionError, match="^precision must be at least 105$"):
+            derive_bj(PrimeContext(7), 16)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_least_precision_suffices(self, p):
+        # n = p (p + 8) is the floor itself: it is read exactly
+        assert derive_bj(PrimeContext(p), p * (p + 8)).b == BJ_TABLE[p]
+
 
 class TestGPoly:
     def test_level2_values(self):
