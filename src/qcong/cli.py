@@ -193,22 +193,23 @@ def _sweep(args, ctx, m_max: int, prec: int | None):
 def _theorem2(args, ctx):
     prec = _precision(args, default={2: 4096}.get(ctx.p, 2048))
     report = _sweep(args, ctx, args.m_max, prec)
+    failures = report.failures
     lines = [
         f"theorem2 p={ctx.p} m<={args.m_max} d<={args.d_max} base_prec={report.base_prec}",
         f"cases checked: {len(report.cases)}",
     ]
-    for c in report.failures[:5]:
+    for c in failures[:5]:
         lines.append(
             f"FAIL m={c.m} beta={c.beta} n={c.n}: v_{c.p}={c.observed} "
             f"< required {c.required} (coefficient {c.value})"
         )
-    lines.append("PASS" if report.ok else f"FAIL ({len(report.failures)} counterexamples)")
+    lines.append("PASS" if report.ok else f"FAIL ({len(failures)} counterexamples)")
     payload = {
         "target": "theorem2",
         "p": ctx.p,
         "ok": report.ok,
         "cases": len(report.cases),
-        "failures": len(report.failures),
+        "failures": len(failures),
         "base_prec": report.base_prec,
     }
     return payload, None, lines

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 
 from .basis import _residue_family, _up_precision, basis_family, express_in_phi, phi_powers
 from .eta import _longest, euler_product
@@ -28,7 +29,7 @@ def bound(ctx: PrimeContext, d: int) -> int:
     return {2: 3 * d + 8, 3: 2 * d + 3, 5: d + 1, 7: d}[ctx.p]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CongruenceCase:
     p: int
     m: int
@@ -125,6 +126,7 @@ def verify_theorem2(
         else:
             fam = _residue_family(ctx, m_max, base_prec, modulus)
         cases = []
+        ok = decided = True
         for m in range(1, m_max + 1):
             alpha = val_p(m, p)
             m_prime = m // p**alpha
@@ -132,19 +134,16 @@ def verify_theorem2(
                 if beta <= alpha:
                     continue
                 required = bounds[beta - alpha]
-                for n, c in enumerate(run, 1):
-                    observed = _val_p_int(c, p)  # math.inf for c = 0
-                    ok = observed >= required
-                    cases.append(
-                        CongruenceCase(
-                            p, m, m_prime, alpha, beta, n, observed, required, ok,
-                            None if ok else c,
-                        )
-                    )
+                vals = list(map(_val_p_int, run, repeat(p)))  # math.inf for c = 0
+                decided = decided and math.inf not in vals
+                ok = ok and min(vals, default=required) >= required
+                cases += [CongruenceCase(p, m, m_prime, alpha, beta, n, v, required,
+                                         v >= required, None if v >= required else c)
+                          for n, v, c in zip(count(1), vals, run)]
         # a residue 0 decides nothing, and a failure reports the exact value
-        if all(c.ok and c.observed != math.inf for c in cases):
+        if ok and decided:
             break
-    return CongruenceReport(ctx, base_prec, tuple(cases), all(c.ok for c in cases))
+    return CongruenceReport(ctx, base_prec, tuple(cases), ok)
 
 
 # ---------------------------------------------------------------------------

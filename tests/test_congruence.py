@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter, defaultdict
 
@@ -169,10 +170,54 @@ class TestResidueSweep:
         )
         report = verify_theorem2(ctx, m_max=6, d_max=2, base_prec=128)
         assert calls == []
+        # the benchmark's sweep decides every case from residues: an undecided
+        # one would silently rerun the whole sweep on the exact family
+        for p in (2, 3, 5, 7):
+            assert verify_theorem2(PrimeContext(p), m_max=12, d_max=3, base_prec=768).ok
+        assert calls == []
         # mod 2 every checked coefficient reads 0, so v_2 >= 1 decides nothing
         monkeypatch.setattr(congruence, "_RESIDUE_BITS", 1)
         assert verify_theorem2(ctx, m_max=6, d_max=2, base_prec=128) == report
         assert calls == [(ctx, 6, 128)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("raise_bound", [0, 2])
+    def test_every_row_matches_the_exact_family(self, p, raise_bound, monkeypatch):
+        # raised by 2, the bound splits runs into passing and failing rows
+        bound = congruence.bound
+        monkeypatch.setattr(congruence, "bound", lambda ctx, d: bound(ctx, d) + raise_bound)
+        ctx = PrimeContext(p)
+        report = verify_theorem2(ctx, m_max=6, d_max=2, base_prec=256)
+        fam = basis_family(ctx, 6, 256)
+        want = []
+        for m in range(1, 7):
+            alpha = val_p(m, p)
+            s = fam[m].series
+            for beta in range(1, alpha + 3):
+                s = s.u_op(p)
+                if beta <= alpha:
+                    continue
+                required = bound(ctx, beta - alpha) + raise_bound
+                for n in range(1, s.prec + 1):
+                    c = s.coeff(n)
+                    v = val_p(c, p)
+                    ok = v >= required
+                    want.append((p, m, m // p**alpha, alpha, beta, n, v, required, ok,
+                                 None if ok else c))
+        names = [f.name for f in dataclasses.fields(congruence.CongruenceCase)]
+        assert names == ["p", "m", "m_prime", "alpha", "beta", "n", "observed", "required",
+                         "ok", "value"]
+        assert [tuple(getattr(c, name) for name in names) for c in report.cases] == want
+        assert report.ok == all(row[8] for row in want) == (raise_bound == 0)
+        if raise_bound:
+            runs = defaultdict(set)
+            for c in report.cases:
+                runs[c.m, c.beta].add(c.ok)
+            assert {True, False} in runs.values()
+        # the benchmark's gate perturbs a case and the report through replace
+        case = dataclasses.replace(report.cases[0], observed=-1)
+        assert case.observed == -1 and report.cases[0].observed != -1
+        assert dataclasses.replace(report, cases=(case,)).cases == (case,)
 
     def test_failing_cases_carry_the_exact_coefficient(self, monkeypatch):
         ctx = PrimeContext(2)
