@@ -1,22 +1,21 @@
 """Exact truncated Laurent/Puiseux series over the rationals.
 
-A series is stored as a dense coefficient run from its valuation ``val`` to
-its precision bound ``prec`` (both inclusive, in ``w``-units where
-``w^ram = q``).  All arithmetic is exact; precision is propagated
-pessimistically so that an operation never emits a coefficient its inputs do
-not determine.
+A series is stored as integer numerators ``num``, a dense run from its
+valuation ``val`` to its precision bound ``prec`` (both inclusive, in
+``w``-units where ``w^ram = q``), over one denominator ``den`` in lowest
+terms: gcd(den, *num) == 1, and den == 1 for an integral series.  All
+arithmetic runs over Z and is exact; precision is propagated pessimistically
+so that an operation never emits a coefficient its inputs do not determine.
 
-Coefficients are exact: Python ints wherever the values are integral, and
-``fractions.Fraction`` only where a denominator arises (an inversion, or a
-non-integral input).  Both expose ``numerator``/``denominator`` and print and
-hash alike, so no code path needs to tell them apart.  Any other coefficient
-type (float, bool, Decimal, ...) raises ``TypeError``; results of the
-arithmetic, int or Fraction by construction, skip that check.  ``val_p``
-takes O(log v) divisions for a long run.
+``fractions.Fraction`` appears only at the boundary: the constructor clears
+int and Fraction coefficients once, with the lcm of their denominators, and
+refuses any other type (float, bool, Decimal, ...); ``coeffs``, ``coeff``,
+``terms`` and ``pretty`` read a value as an int where it is integral, else
+as a Fraction.  ``val_p`` takes O(log v) divisions for a long run.
 
-Multiplication clears denominators (an int operand goes as it is) and runs
-a truncated integer convolution, which returns only the coefficients that the
-product's precision determines, by one of three methods chosen by size:
+A product runs a truncated integer convolution of the numerators, which
+returns only the coefficients that the product's precision determines, by
+one of three methods chosen by size:
 
 - schoolbook, for short products, over the pairs that reach a kept
   coefficient;
@@ -315,74 +314,60 @@ def mul_int_lists(a, b, length=None):
     return _kronecker_mul(a, b, length)
 
 
-def mul_frac_lists(a, b, length=None):
-    """Coefficients 0..length-1 (by default all) of the product of two
-    rational (int or Fraction) coefficient lists; an integral product is
-    returned as ints."""
-
-    def cleared(coeffs):
-        coeffs = coeffs[:length]
-        if Fraction not in map(type, coeffs):  # ints reach the kernel as they are
-            return coeffs, 1
-        d = math.lcm(*map(operator.attrgetter("denominator"), coeffs))
-        return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-    na, da = cleared(a)
-    nb, db = (na, da) if b is a else cleared(b)
-    prod = mul_int_lists(na, nb, length)
-    d = da * db
-    if d == 1:
-        return prod
-    return [Fraction(c, d) for c in prod]
-
-
 # ---------------------------------------------------------------------------
 
 
 class QSeries:
     """Immutable truncated Laurent series with explicit precision."""
 
-    __slots__ = ("ram", "val", "prec", "coeffs")
+    __slots__ = ("ram", "val", "prec", "num", "den")
 
     def __init__(self, coeffs, val: int = 0, prec: int | None = None, ram: int = 1):
         if ram < 1:
             raise ValueError("ramification index must be positive")
         coeffs = list(coeffs)
-        if not set(map(type, coeffs)) <= {int, Fraction}:
+        types = set(map(type, coeffs))
+        if not types <= {int, Fraction}:
             raise TypeError("series coefficients must be int or Fraction")
+        den = 1
+        if Fraction in types:  # cleared once, with the lcm of the denominators
+            den = math.lcm(*[c.denominator for c in coeffs])
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
         if prec is None:
             prec = val + len(coeffs) - 1
-        self._normalize(coeffs, val, prec, ram)
+        self._normalize(coeffs, val, prec, ram, den)
 
     @classmethod
-    def _new(cls, coeffs, val: int, prec: int, ram: int) -> "QSeries":
-        """Normalized, not type-checked: for QSeries's own results."""
+    def _new(cls, num, val: int, prec: int, ram: int, den: int = 1) -> "QSeries":
+        """Normalized, not type-checked: for QSeries's own int results, den >= 1."""
         out = object.__new__(cls)
-        out._normalize(coeffs, val, prec, ram)
+        out._normalize(num, val, prec, ram, den)
         return out
 
-    def _normalize(self, coeffs, val, prec, ram):
-        """Store coeffs (a list, or a tuple kept as it is when it needs no
-        change) from val on, cut or zero-padded to prec, less leading zeros."""
+    def _normalize(self, num, val, prec, ram, den):
+        """Store num / den (num a list, or a tuple kept as it is when it needs no change)
+        from val on, cut or zero-padded to prec, less leading zeros, with gcd(den, *num) == 1."""
         if prec < val - 1:
             raise ValueError("prec must be >= val - 1")
         n = prec - val + 1
-        top = min(len(coeffs), n)
+        top = min(len(num), n)
         lead = 0
-        while lead < top and coeffs[lead] == 0:
+        while lead < top and num[lead] == 0:
             lead += 1
         if lead == top:
-            coeffs = ()
-            val = prec + 1
+            num, den, val = (), 1, prec + 1
         else:
-            if lead or len(coeffs) > n:  # a slice copies: only when needed
-                coeffs = coeffs[lead:n]
-            coeffs = tuple(coeffs) + (0,) * (n - lead - len(coeffs))
+            if lead or len(num) > n:  # a slice copies: only when needed
+                num = num[lead:n]
+            num = tuple(num) + (0,) * (n - lead - len(num))
             val += lead
+            if den != 1 and (g := math.gcd(den, *num)) != 1:
+                num, den = tuple([c // g for c in num]), den // g
         object.__setattr__(self, "ram", ram)
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -399,8 +384,16 @@ class QSeries:
 
     # -- queries -----------------------------------------------------------
 
+    def _value(self, c):
+        return Fraction(c, self.den) if c % self.den else c // self.den
+
+    @property
+    def coeffs(self) -> tuple:
+        """Values val..prec: the numerators if den == 1, else int or Fraction."""
+        return self.num if self.den == 1 else tuple(map(self._value, self.num))
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coeff(self, n: int) -> int | Fraction:
         """Coefficient at w-exponent n; raises beyond the precision bound."""
@@ -408,7 +401,8 @@ class QSeries:
             raise PrecisionError(f"coefficient at exponent {n} is beyond prec {self.prec}")
         if n < self.val:
             return 0
-        return self.coeffs[n - self.val]
+        c = self.num[n - self.val]
+        return c if self.den == 1 else self._value(c)
 
     def terms(self):
         """Iterate (exponent, coefficient) over nonzero stored coefficients."""
@@ -417,20 +411,16 @@ class QSeries:
                 yield self.val + i, c
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (
-            self.ram == other.ram
-            and self.val == other.val
-            and self.prec == other.prec
-            and self.coeffs == other.coeffs
-        )
+        return (self.ram, self.val, self.prec, self.den, self.num) == (
+            other.ram, other.val, other.prec, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.ram, self.val, self.prec, self.coeffs))
+        return hash((self.ram, self.val, self.prec, self.num, self.den))
 
     def __repr__(self):
         return f"QSeries(ram={self.ram}, val={self.val}, prec={self.prec}, {self.pretty()})"
@@ -465,11 +455,9 @@ class QSeries:
     def _respread(self, t: int, new_ram: int) -> "QSeries":
         if t == 1:  # then new_ram == self.ram at every call site
             return self
-        n = len(self.coeffs)
-        out = [0] * (n * t) if n else []
-        for i, c in enumerate(self.coeffs):
-            out[i * t] = c
-        return QSeries._new(out, self.val * t, (self.prec + 1) * t - 1, new_ram)
+        out = [0] * (len(self.num) * t)
+        out[::t] = self.num
+        return QSeries._new(out, self.val * t, (self.prec + 1) * t - 1, new_ram, self.den)
 
     def ramify(self, e: int) -> "QSeries":
         """Re-express with ramification e*ram; the abstract series is unchanged."""
@@ -492,28 +480,28 @@ class QSeries:
     # -- arithmetic --------------------------------------------------------
 
     def _plus(self, c, other, sign=1) -> "QSeries":
-        """sign * self + c * other in one pass over the two coefficient runs;
-        a scalar other is the constant series at precision max(self.prec, 0),
-        whose run is the scalar alone."""
+        """sign * self + c * other in one pass over the two numerator runs,
+        scaled to the lcm of their denominators; a scalar other is the constant
+        series at precision max(self.prec, 0), whose run is the scalar alone."""
         if type(other) in (int, Fraction):
-            a, b_val, b_prec, b_run = self, 0, max(self.prec, 0), (other,) if other else ()
+            a, b_val, b_prec, b_den = self, 0, max(self.prec, 0), other.denominator
+            b_run = (other.numerator,) if other else ()
         elif isinstance(other, QSeries):
             a, b = self._aligned(other)
-            b_val, b_prec, b_run = b.val, b.prec, b.coeffs
+            b_val, b_prec, b_run, b_den = b.val, b.prec, b.num, b.den
         else:
             return NotImplemented
+        b_den *= c.denominator
+        den = a.den if a.den == b_den else math.lcm(a.den, b_den)
         prec = min(a.prec, b_prec)
         val = min(a.val, b_val, prec + 1)
         out = [0] * (prec + 1 - val)
-        run = a.coeffs[: max(prec + 1 - a.val, 0)]
-        out[a.val - val : a.val - val + len(run)] = run if sign == 1 else [-x for x in run]
-        run = b_run[: max(prec + 1 - b_val, 0)]
-        # a Fraction times 1 or -1 costs a gcd: a sum or difference multiplies nothing
-        if c != 1:
-            run = [-x for x in run] if c == -1 else [c * x for x in run]
+        run = _scaled(a.num[: max(prec + 1 - a.val, 0)], sign * (den // a.den))
+        out[a.val - val : a.val - val + len(run)] = run
+        run = _scaled(b_run[: max(prec + 1 - b_val, 0)], c.numerator * (den // b_den))
         for i, x in enumerate(run, b_val - val):
             out[i] += x
-        return QSeries._new(out, val, prec, a.ram)
+        return QSeries._new(out, val, prec, a.ram, den)
 
     def __add__(self, other):
         return self._plus(1, other)
@@ -521,7 +509,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._new([-c for c in self.coeffs], self.val, self.prec, self.ram)
+        return QSeries._new([-c for c in self.num], self.val, self.prec, self.ram, self.den)
 
     def __sub__(self, other):
         return self._plus(-1, other)
@@ -530,37 +518,42 @@ class QSeries:
         return self._plus(1, other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QSeries._new([other * x for x in self.coeffs], self.val, self.prec, self.ram)
+        # exact types, as in _plus: a bool is no scalar
+        if type(other) in (int, Fraction):
+            return QSeries._new(_scaled(self.num, other.numerator), self.val, self.prec,
+                                self.ram, self.den * other.denominator)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._aligned(other)
         prec = min(a.prec + b.val, b.prec + a.val)
         val = a.val + b.val
         # a square (self is other) reaches the kernel as one tuple
-        out = mul_frac_lists(a.coeffs, b.coeffs, prec - val + 1)
-        return QSeries._new(out, val, prec, a.ram)
+        out = mul_int_lists(a.num, b.num, prec - val + 1)
+        return QSeries._new(out, val, prec, a.ram, a.den * b.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def invert(self) -> "QSeries":
-        """Multiplicative inverse to the determined precision (Newton iteration)."""
+        """Multiplicative inverse to the determined precision: Newton's iteration
+        X <- X (2s - U X), s <- s^2 on the numerators U, for integral X / s -> 1 / U."""
         if self.is_zero():
             raise NotInvertibleError("cannot invert a zero-to-precision series")
-        u = list(self.coeffs)
-        total = len(u)
-        # a unit leading coefficient is its own inverse, so integral units stay int
-        x = [u[0] if u[0] in (1, -1) else Fraction(1, u[0])]
-        t = 1
-        while t < total:
-            t2 = min(2 * t, total)
-            err = mul_frac_lists(u, x, t2)
-            err[0] -= 1
-            corr = mul_frac_lists(x, err, t2)
-            x = [(x[i] if i < len(x) else 0) - corr[i] for i in range(t2)]
+        u = self.num
+        t, s, x = 1, abs(u[0]), [1 if u[0] > 0 else -1]
+        while t < len(u):
+            t2 = min(2 * t, len(u))
+            # X (2s - U X) as s X - X (U X - s): U X - s starts at q^t, which the kernel skips
+            err = mul_int_lists(u, x, t2)
+            err[0] -= s
+            corr = mul_int_lists(x, err, t2)
+            x = [xi - ci for xi, ci in zip(_scaled(x, s), corr)] + [-ci for ci in corr[len(x):]]
+            s *= s
+            if s != 1 and (g := math.gcd(s, *x)) != 1:
+                x, s = [xi // g for xi in x], s // g
             t = t2
-        return QSeries._new(x, -self.val, self.prec - 2 * self.val, self.ram)
+        # (num / den)^-1 = den X / s
+        return QSeries._new(_scaled(x, self.den), -self.val, self.prec - 2 * self.val, self.ram, s)
 
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):
@@ -579,14 +572,14 @@ class QSeries:
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by w^k."""
-        return QSeries._new(self.coeffs, self.val + k, self.prec + k, self.ram)
+        return QSeries._new(self.num, self.val + k, self.prec + k, self.ram, self.den)
 
     def truncate(self, prec: int) -> "QSeries":
         """Drop coefficients above the given precision bound."""
         if prec >= self.prec:
             return self
         # slice first, so that the cost follows the result, not self
-        return QSeries._new(self.coeffs[: prec - self.val + 1], self.val, prec, self.ram)
+        return QSeries._new(self.num[: prec - self.val + 1], self.val, prec, self.ram, self.den)
 
     def u_op(self, p: int) -> "QSeries":
         """Keep coefficients at exponents divisible by p, dividing the exponent."""
@@ -595,12 +588,19 @@ class QSeries:
         if p < 2:
             raise ValueError("u_op requires p >= 2")
         lo = -((-self.val) // p)
-        return QSeries._new(self.coeffs[lo * p - self.val :: p], lo, self.prec // p, 1)
+        return QSeries._new(self.num[lo * p - self.val :: p], lo, self.prec // p, 1, self.den)
+
+
+def _scaled(run, f):
+    """run times the int f; the run itself when f is 1."""
+    return run if f == 1 else [f * x for x in run]
 
 
 def agree(a: QSeries, b: QSeries) -> bool:
-    """Whether two series agree on their common determined exponent range."""
+    """Whether two series agree on their common determined exponent range:
+    a_n b.den == b_n a.den for each n there."""
     a, b = a._aligned(b)
     prec = min(a.prec, b.prec)
     lo = min(a.val, b.val, prec + 1)
-    return all(a.coeff(n) == b.coeff(n) for n in range(lo, prec + 1))
+    runs = [(0,) * (min(s.val, prec + 1) - lo) + s.num[: max(prec + 1 - s.val, 0)] for s in (a, b)]
+    return all(x * b.den == y * a.den for x, y in zip(*runs))

@@ -230,21 +230,30 @@ class TestExpressInPhi:
                 express_in_phi(C2, s, 2)
 
     def test_fraction_constant_raises(self):
-        # the constant keeps the int-only contract of the polynomial beside it
+        # the constant keeps the int-only contract of the polynomial beside it;
+        # an integral Fraction is read as an int, so only a true fraction raises
         assert express_in_phi(C2, QSeries([3], 0, 20), 4) == (3, PhiPolynomial())
-        for c in (Fraction(1, 2), Fraction(2)):
-            for s in (QSeries([c], 0, 20), phi(C2, 20) + c):
-                with pytest.raises(TypeError, match="must be int"):
-                    express_in_phi(C2, s, 4)
+        for s in (QSeries([Fraction(1, 2)], 0, 20), phi(C2, 20) + Fraction(1, 2)):
+            with pytest.raises(TypeError, match="must be int"):
+                express_in_phi(C2, s, 4)
+        assert express_in_phi(C2, QSeries([Fraction(2)], 0, 20), 4) == (2, PhiPolynomial())
+        const, poly = express_in_phi(C2, phi(C2, 20) + Fraction(2), 4)
+        assert (const, poly) == (2, PhiPolynomial({1: 1})) and type(const) is int
 
     def test_fraction_zero_at_a_degree_reads_as_int(self):
-        # a zero multiplier is not kept and clears nothing, so a Fraction(0)
-        # read at degree 1 leaves the entries after it, and the result, int
+        # a series stores a Fraction(0) as the int 0; and in the elimination a
+        # zero multiplier is not kept and clears nothing, so a Fraction(0) read
+        # at degree 1 leaves the entries after it, and the result, int
         sq = (phi(C2, 32) ** 2).truncate(30)
         s = QSeries([1, Fraction(0), *sq.coeffs], 0, 30)
-        assert type(s.coeff(1)) is Fraction
+        assert type(s.coeff(1)) is int and s == QSeries([1, 0, *sq.coeffs], 0, 30)
         const, poly = express_in_phi(C2, s, 4)
         assert (const, poly) == (1, PhiPolynomial({2: 1})) and type(const) is int
+        powers = phi_powers(C2, 2, 30)
+        t = [1, Fraction(0), *sq.coeffs]
+        runs = [(0, (1,)), (1, powers[1].coeffs), (2, powers[2].coeffs)]
+        assert _clear(t, runs) == {0: 1, 2: 1}
+        assert not any(t) and all(type(x) is int for x in t[2:])
 
     def test_rejects_ramified_input(self):
         with pytest.raises(ValueError, match="unramified"):

@@ -232,13 +232,13 @@ class TestHPolyRelation:
         # with phi^0 .. phi^p in the table, only the p products G_j * H^(p-j)
         # reach the kernel: the powers of h are scaled table entries
         calls = []
-        mul = series.mul_frac_lists
+        mul = series.mul_int_lists
 
         def counted(a, b, *length):
             calls.append(len(a) * len(b))
             return mul(a, b, *length)
 
-        monkeypatch.setattr(series, "mul_frac_lists", counted)
+        monkeypatch.setattr(series, "mul_int_lists", counted)
         assert verify_hpoly_relation(ctx, n) == residual
         assert len(calls) == p
 

@@ -25,7 +25,6 @@ from qcong.series import (
     _limb_bits,
     _school_mul,
     agree,
-    mul_frac_lists,
     mul_int_lists,
     val_p,
 )
@@ -117,8 +116,20 @@ def _loop_u_op(a, p):
 
 
 def _exact(s):
-    # equality that also tells int from Fraction
-    return s.ram, s.val, s.prec, [(type(c), c) for c in s.coeffs]
+    # the stored form, numerators over one denominator, and the values as read
+    # with their types: equal series agree in both
+    return s.ram, s.val, s.prec, s.num, s.den, [(type(c), c) for c in s.coeffs]
+
+
+def _assert_canonical(s):
+    # den >= 1 and in lowest terms with the numerators; a value reads as an
+    # int exactly where it is integral
+    assert type(s.den) is int and s.den >= 1 and math.gcd(s.den, *s.num) == 1
+    assert all(type(x) is int for x in s.num) and (s.is_zero() or s.num[0] != 0)
+    assert s.is_integral() == (s.den == 1) and (s.den == 1 or s.num)
+    for x, c in zip(s.num, s.coeffs):
+        assert c == Fraction(x, s.den)
+        assert type(c) is (int if x % s.den == 0 else Fraction)
 
 
 class TestOnePassSum:
@@ -192,13 +203,12 @@ class TestOnePassSum:
             for c in (1, -1, 3, Fraction(-1, 2)):
                 for x in (0, 5, -1, Fraction(1, 2), Fraction(4)):
                     got, want = a._plus(c, x), dense(a, c, x)
-                    assert got == want, (a, c, x)
-                    # c * 0 is a Fraction for a Fraction c: the dense route
-                    # made every coefficient one, the scalar route none
+                    # both routes store the one canonical form, so the types
+                    # agree for a Fraction c too
+                    assert _exact(got) == _exact(want), (a, c, x)
+                    _assert_canonical(got)
                     kept = [(n, type(a.coeff(n))) for n in range(got.val, got.prec + 1) if n]
                     assert kept == [(n, type(got.coeff(n))) for n, _ in kept]
-                    if type(c) is int:
-                        assert _exact(got) == _exact(want), (a, c, x)
             assert _exact(a - 2) == _exact(dense(a, -1, 2)) and _exact(2 - a) == _exact(-a + 2)
         s = series([1, -24, 252, -1472], val=-1)
         half = s + Fraction(1, 2)
@@ -239,7 +249,7 @@ class TestPrivateConstructor:
             for r in results:
                 assert set(map(type, r.coeffs)) <= {int, Fraction}
                 assert _exact(r) == _exact(QSeries(r.coeffs, r.val, r.prec, r.ram))
-                assert r.is_zero() or r.coeffs[0] != 0
+                _assert_canonical(r)
 
     def test_results_keep_the_precision_check(self):
         with pytest.raises(ValueError, match="prec must be >= val - 1"):
@@ -251,6 +261,174 @@ class TestPrivateConstructor:
         s = series([3, 0, 5, 0], val=-1)
         assert s.shift(4).coeffs is s.coeffs
         assert s.truncate(s.prec - 1).coeffs == s.coeffs[:-1]
+
+
+# A second route for every series operation: a series is (ram, prec, {exponent:
+# nonzero Fraction}), and each operation runs on plain Fraction values, term by
+# term, with the precision rules written out again.
+
+
+def _ref(s):
+    return s.ram, s.prec, {s.val + i: Fraction(c, s.den) for i, c in enumerate(s.num) if c}
+
+
+def _ref_val(r):
+    return min(r[2], default=r[1] + 1)
+
+
+def _ref_spread(r, t, ram):
+    return ram, (r[1] + 1) * t - 1, {e * t: c for e, c in r[2].items()}
+
+
+def _ref_aligned(r, s):
+    ram = math.lcm(r[0], s[0])
+    return _ref_spread(r, ram // r[0], ram), _ref_spread(s, ram // s[0], ram)
+
+
+def _ref_add(r, s, c=1):
+    r, s = _ref_aligned(r, s)
+    prec = min(r[1], s[1])
+    out = {}
+    for e, x in [*r[2].items(), *((e, c * x) for e, x in s[2].items())]:
+        if e <= prec:
+            out[e] = out.get(e, 0) + x
+    return r[0], prec, {e: x for e, x in out.items() if x}
+
+
+def _ref_scalar(r, c):
+    return r[0], max(r[1], 0), {0: Fraction(c)} if c else {}
+
+
+def _ref_mul(r, s):
+    r, s = _ref_aligned(r, s)
+    prec = min(r[1] + _ref_val(s), s[1] + _ref_val(r))
+    out = {}
+    for e, x in r[2].items():
+        for f, y in s[2].items():
+            if e + f <= prec:
+                out[e + f] = out.get(e + f, 0) + x * y
+    return r[0], prec, {e: x for e, x in out.items() if x}
+
+
+def _ref_invert(r):
+    v, prec = _ref_val(r), r[1]
+    u = [r[2].get(v + i, Fraction(0)) for i in range(prec - v + 1)]
+    x = [1 / u[0]]
+    for k in range(1, len(u)):
+        x.append(-sum(u[i] * x[k - i] for i in range(1, k + 1)) / u[0])
+    return r[0], prec - 2 * v, {k - v: c for k, c in enumerate(x) if c}
+
+
+def _ref_pow(r, k):
+    if k < 0:
+        return _ref_pow(_ref_invert(r), -k)
+    out = r[0], max(r[1] - _ref_val(r), 0), {0: Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, r)
+    return out
+
+
+def _ref_shift(r, k):
+    return r[0], r[1] + k, {e + k: c for e, c in r[2].items()}
+
+
+def _ref_truncate(r, prec):
+    if prec >= r[1]:
+        return r
+    return r[0], prec, {e: c for e, c in r[2].items() if e <= prec}
+
+
+def _ref_u_op(r, p):
+    return 1, r[1] // p, {e // p: c for e, c in r[2].items() if e % p == 0}
+
+
+class TestFractionReference:
+    """Every operation and every result against the Fraction-list route above,
+    and every result in canonical form."""
+
+    @staticmethod
+    def _make(rng, kind):
+        coeffs = [rng.choice([0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
+                  for _ in range(rng.randint(1, 9))]
+        if kind == "fraction":
+            coeffs = [Fraction(c, rng.randint(1, 12)) if rng.random() < 0.6 else c
+                      for c in coeffs]
+        coeffs[0] = coeffs[0] or Fraction(rng.randint(1, 9), rng.choice([1, 3]))
+        val = rng.randint(-4, -1) if kind == "laurent" else rng.randint(0, 3)
+        ram = 2 if kind == "ram2" else 1
+        # the reference starts from the coefficients as given, not as stored
+        ref = ram, val + len(coeffs) - 1, {val + i: Fraction(c) for i, c in enumerate(coeffs) if c}
+        return QSeries(coeffs, val, ram=ram), ref
+
+    @pytest.mark.parametrize("kind", ["int", "laurent", "fraction", "ram2"])
+    def test_every_operation_matches_the_reference(self, kind):
+        rng = random.Random(f"reference-{kind}")
+        for _ in range(30):
+            a, ra = self._make(rng, kind)
+            b, rb = self._make(rng, rng.choice(["int", "laurent", "fraction", "ram2"]))
+            assert (_ref(a), _ref(b)) == (ra, rb)
+            cases = [
+                (a + b, _ref_add(ra, rb)),
+                (a - b, _ref_add(ra, rb, -1)),
+                (b - a, _ref_add(rb, ra, -1)),
+                (a._plus(Fraction(-2, 3), b), _ref_add(ra, rb, Fraction(-2, 3))),
+                (-a, _ref_add(_ref_scalar(ra, 0), ra, -1)),
+                (a * b, _ref_mul(ra, rb)),
+                (a * b.ramify(3), _ref_mul(ra, _ref_spread(rb, 3, 3 * rb[0]))),
+                (a + b.ramify(3), _ref_add(ra, _ref_spread(rb, 3, 3 * rb[0]))),
+                (a.invert(), _ref_invert(ra)),
+                (a.shift(3), _ref_shift(ra, 3)),
+                (a.shift(-2), _ref_shift(ra, -2)),
+                (a.truncate(a.val + 2), _ref_truncate(ra, a.val + 2)),
+                (a.truncate(a.val - 1), _ref_truncate(ra, a.val - 1)),
+                (a.dilate(3), _ref_spread(ra, 3, ra[0])),
+                (a.ramify(2), _ref_spread(ra, 2, 2 * ra[0])),
+            ]
+            cases += [(a**k, _ref_pow(ra, k)) for k in (0, 1, 2, 3, -1, -2)]
+            for c in (0, 1, -1, 3, Fraction(-2, 3), Fraction(4), Fraction(5, 2)):
+                rc = _ref_scalar(ra, c)
+                cases += [
+                    (a + c, _ref_add(ra, rc)),
+                    (c + a, _ref_add(ra, rc)),
+                    (a - c, _ref_add(ra, rc, -1)),
+                    (c - a, _ref_add(rc, ra, -1)),
+                    (a * c, (ra[0], ra[1], {e: c * x for e, x in ra[2].items() if c})),
+                    (c * a, (ra[0], ra[1], {e: c * x for e, x in ra[2].items() if c})),
+                ]
+            if a.ram == 1:
+                cases += [(a.u_op(p), _ref_u_op(ra, p)) for p in (2, 3)]
+            if a.ram == b.ram == 1:
+                cases.append(((a * b).u_op(2), _ref_u_op(_ref_mul(ra, rb), 2)))
+            for got, want in cases:
+                assert _ref(got) == want, (a, b)
+                assert got.val == _ref_val(want)
+                _assert_canonical(got)
+                assert got.coeffs == tuple(want[2].get(n, 0) for n in range(got.val, got.prec + 1))
+                again = QSeries(got.coeffs, got.val, got.prec, got.ram)
+                assert again == got and hash(again) == hash(got)
+
+    def test_equal_series_hash_equal(self):
+        pairs = [
+            (QSeries([Fraction(3), 1]), QSeries([3, 1])),
+            (QSeries([Fraction(1, 2), Fraction(3, 2)]) * 2, QSeries([1, 3])),
+            (QSeries([Fraction(1, 6), Fraction(1, 3)]) + Fraction(5, 6),
+             QSeries([1, Fraction(1, 3)])),
+            (QSeries([Fraction(2, 4), 0], -1), QSeries([Fraction(1, 2), 0], -1)),
+            (QSeries([Fraction(1, 3), 1, 5], 0, 0), QSeries([Fraction(1, 3)], 0, 0)),
+            (QSeries([Fraction(1, 3)], 0, 2) - QSeries([Fraction(1, 3)], 0, 2), QSeries.zero(2)),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y) and (x.num, x.den) == (y.num, y.den)
+            _assert_canonical(x)
+
+    def test_agree_cross_multiplies(self):
+        a = QSeries([Fraction(1, 2), 1, Fraction(1, 3)], -1)
+        assert agree(a, a.truncate(0)) and agree(a.truncate(0), a)
+        longer = QSeries([Fraction(1, 2), 1, Fraction(1, 3), Fraction(1, 5)], -1)
+        assert longer.den == 30 and agree(a, longer) and agree(longer, a)
+        assert not agree(a, QSeries([Fraction(1, 2), 1, Fraction(1, 4)], -1))
+        assert agree(a * 6, QSeries([3, 6, 2], -1)) and not agree(a * 6, QSeries([3, 6, 3], -1))
+        assert agree(a, a.ramify(2)) and not agree(a, (a + 1).ramify(2))
 
 
 class TestMul:
@@ -531,13 +709,17 @@ class TestKroneckerKernel:
         assert limbs == [_limb_bits(a[:40], b, 81)] and limbs[0] < 32
 
     def test_truncated_rational_product(self):
+        # polynomials known to q^(length-1): their product is known there too
         rng = random.Random(19)
         a = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(50)]
         b = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(40)]
         for x, y in [(a, b), (a, a), ([2, 4, 6], [Fraction(1, 2)] * 45)]:
             full = _school_mul(x, y)
             for length in (1, 30, len(full), len(full) + 2):
-                assert mul_frac_lists(x, y, length) == (full + [0, 0])[:length]
+                sx, sy = QSeries(x, 0, length - 1), QSeries(y, 0, length - 1)
+                got = sx * sx if y is x else sx * sy
+                assert [got.coeff(n) for n in range(length)] == (full + [0, 0])[:length]
+                _assert_canonical(got)
 
     def test_int_operands_reach_the_kernel_as_they_are(self, monkeypatch):
         seen = []
@@ -549,10 +731,15 @@ class TestKroneckerKernel:
 
         monkeypatch.setattr(qcong.series, "mul_int_lists", spy)
         a, b = tuple(range(-20, 30)), tuple(range(7, 47))
-        assert mul_frac_lists(a, b) == _school_mul(a, b)
-        assert mul_frac_lists(a, a, 60) == _school_mul(a, a)[:60]
-        assert seen[0][0] is a and seen[0][1] is b
-        assert seen[1][0] is seen[1][1] is a
+        sa, sb = QSeries(a, 0, 88), QSeries(b, 0, 88)  # polynomials known to q^88
+        assert (sa * sb).coeffs == tuple(_school_mul(a, b))
+        assert (sa * sa).truncate(59).coeffs == tuple(_school_mul(a, a)[:60])
+        assert seen[0][0] is sa.num and seen[0][1] is sb.num
+        assert seen[1][0] is seen[1][1] is sa.num
+        # a rational operand reaches it as its int numerators
+        third = sa * Fraction(1, 3)
+        assert (third * sb).coeffs == tuple(Fraction(c, 3) for c in _school_mul(a, b))
+        assert seen[2][0] is third.num and all(type(c) is int for c in third.num)
 
     def test_int_mixed_and_integral_fraction_operands(self):
         rng = random.Random(23)
@@ -563,12 +750,13 @@ class TestKroneckerKernel:
         for x in (ints, [Fraction(c) for c in ints], [Fraction(c) if i % 3 else c
                                                       for i, c in enumerate(ints)]):
             for y in (other, [Fraction(c) for c in other]):
-                for length in (None, 1, 30, len(full), len(full) + 2):
-                    got = mul_frac_lists(x, y, length)
-                    assert got == (full if length is None else (full + [0, 0])[:length])
-                    assert all(type(c) is int for c in got)
-            got = mul_frac_lists(x, x, 70)
-            assert got == square[:70] and all(type(c) is int for c in got)
+                for length in (1, 30, len(full), len(full) + 2):
+                    got = QSeries(x, 0, length - 1) * QSeries(y, 0, length - 1)
+                    assert got.den == 1 and got == QSeries(full[:length], 0, length - 1)
+                    assert all(type(c) is int for c in got.coeffs)
+            sx = QSeries(x, 0, 69)
+            got = sx * sx
+            assert got == QSeries(square[:70], 0, 69) and all(type(c) is int for c in got.coeffs)
 
     def test_square_reaches_the_kernel_as_one_list(self, monkeypatch):
         seen = []
@@ -847,9 +1035,15 @@ class TestCoefficientTypes:
         assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4))
         assert all(type(c) is Fraction for c in inv.coeffs)
 
-    def test_int_and_fraction_are_kept_as_given(self):
+    def test_a_value_reads_as_int_exactly_where_integral(self):
+        # stored as numerators over one denominator, cleared once on the way in
         s = QSeries([Fraction(1, 2), 3, Fraction(4)])
-        assert [type(c) for c in s.coeffs] == [Fraction, int, Fraction]
+        assert (s.num, s.den) == ((1, 6, 8), 2)
+        assert [type(c) for c in s.coeffs] == [Fraction, int, int]
+        assert s.coeffs == (Fraction(1, 2), 3, 4) and s.coeff(2) == 4
+        t = QSeries([Fraction(3), 1])
+        assert (t.num, t.den) == ((3, 1), 1) and t.coeffs is t.num
+        assert t == QSeries([3, 1]) and hash(t) == hash(QSeries([3, 1]))
 
     @pytest.mark.parametrize(
         "coeffs", [[0.5], [True], [1, 2.0], [decimal.Decimal(1)], [1, 1j]],
@@ -866,6 +1060,16 @@ class TestCoefficientTypes:
                 op(a, 0.5)
         with pytest.raises(TypeError):
             a / 2
+
+    def test_bool_is_no_scalar_in_either_order(self):
+        # one exact-type rule for sums and products, as for coefficients
+        a = series([1, 2])
+        for op in (operator.add, operator.sub, operator.mul):
+            for flag in (True, False):
+                with pytest.raises(TypeError):
+                    op(a, flag)
+                with pytest.raises(TypeError):
+                    op(flag, a)
 
 
 def test_coeff_beyond_precision_raises():
