@@ -89,12 +89,8 @@ def rp_report(ctx: PrimeContext, poly: PhiPolynomial) -> RpReport:
     """Per-degree divisibility bookkeeping against the lattice exponents gamma."""
     if poly.constant != 0:
         raise ValueError("lattice membership is defined for constant-free polynomials")
-    per_degree = {}
-    t = math.inf
-    for k, c in sorted(poly.coeffs.items()):
-        v = val_p(c, ctx.p)
-        per_degree[k] = v
-        t = min(t, v - ctx.gamma(k))
+    per_degree = {k: val_p(c, ctx.p) for k, c in sorted(poly.coeffs.items())}
+    t = min((v - ctx.gamma(k) for k, v in per_degree.items()), default=math.inf)
     return RpReport(poly, t >= 0, t, per_degree)
 
 
@@ -160,20 +156,27 @@ class ClosureTrial:
 
 
 @dataclass(frozen=True)
+class ClosureBasisRow:
+    k: int  # of the basis vector p^gamma(k) phi^k
+    t: object  # lattice t of its image; None when the image is no polynomial
+    slack: object  # t - delta
+    j: int | None  # lowest phi-degree at which the minimum t occurs
+    agree: bool  # the series and Newton routes give the same image
+
+
+@dataclass(frozen=True)
 class ClosureReport:
     ctx: PrimeContext
     trials: tuple
     ok: bool
+    basis: tuple  # one ClosureBasisRow per k = 1 .. deg_max
 
 
-def verify_up_closure(
-    ctx: PrimeContext,
-    trials: int = 100,
-    deg_max: int = 4,
-    n: int | None = None,
-    seed: int = 0,
-) -> ClosureReport:
-    """Seeded random lattice elements must gain at least p^delta under U_p."""
+def verify_up_closure(ctx: PrimeContext, trials: int = 100, deg_max: int = 4,
+                      n: int | None = None, seed: int = 0) -> ClosureReport:
+    """U_p maps L_D = {sum_{k<=D} c_k phi^k : v_p(c_k) >= gamma(k)} into p^delta L, proved
+    by the D images U_p(p^gamma(k) phi^k), each read in phi by the series route and equal
+    to the Newton route, power_sums[k] / p^(lam k/2 + 1).  Trials are their combinations."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if deg_max < 1:
@@ -184,22 +187,36 @@ def verify_up_closure(
         n = max(256, need)
     if n < need:  # checked before phi is built
         raise PrecisionError(f"precision {n} too low for deg_max {deg_max}: {need} suffices")
+    powers = phi_powers(ctx, deg_max, n)
+    try:
+        sums = power_sums(derive_bj(ctx, n), deg_max)
+    except (ArithmeticError, NotPolynomialError):  # U_p phi is not p times a polynomial
+        sums = [None] * deg_max
+    images, errors, basis = {}, {}, []  # k -> (constant, polynomial) of U_p phi^k; k -> text
+    for k in range(1, deg_max + 1):
+        try:
+            constant, image = images[k] = express_in_phi(ctx, powers[k].u_op(p), p * deg_max)
+        except NotPolynomialError as exc:
+            errors[k] = str(exc)
+            basis.append(ClosureBasisRow(k, None, None, None, False))
+            continue
+        rep = rp_report(ctx, image * p ** ctx.gamma(k))
+        j = min(rep.per_degree, key=lambda e: rep.per_degree[e] - ctx.gamma(e), default=None)
+        agree = constant == 0 and image * p ** (ctx.lam * k // 2 + 1) == sums[k - 1]
+        basis.append(ClosureBasisRow(k, rep.t, rep.t - ctx.delta, j, agree))
     results = []
     for i in range(trials):
         rng = random.Random(seed * 1000003 + i)  # split per trial for determinism
-        while True:
+        d = [0]
+        while not any(d):
             d = [rng.randint(-9, 9) for _ in range(deg_max)]
-            if any(d):
-                break
         poly = PhiPolynomial({k: d[k - 1] * p ** ctx.gamma(k) for k in range(1, deg_max + 1)})
-        u = poly.evaluate(ctx, n).u_op(p)
-        try:
-            constant, out = express_in_phi(ctx, u, p * deg_max)
-            if constant != 0:
-                results.append(ClosureTrial(i, poly, None, False, "nonzero constant"))
-                continue
-            rep = rp_report(ctx, out)
-            results.append(ClosureTrial(i, poly, rep.t, rep.t >= ctx.delta))
-        except NotPolynomialError as exc:
-            results.append(ClosureTrial(i, poly, None, False, str(exc)))
-    return ClosureReport(ctx, tuple(results), all(t.ok for t in results))
+        terms = poly.coeffs.items()
+        error = next((errors[k] for k, _ in terms if k in errors), None)
+        if error is not None or sum(c * images[k][0] for k, c in terms):
+            results.append(ClosureTrial(i, poly, None, False, error or "nonzero constant"))
+            continue
+        t = rp_report(ctx, sum((images[k][1] * c for k, c in terms), PhiPolynomial())).t
+        results.append(ClosureTrial(i, poly, t, t >= ctx.delta))
+    ok = all(t.ok for t in results) and all(r.agree and r.slack >= 0 for r in basis)
+    return ClosureReport(ctx, tuple(results), ok, tuple(basis))

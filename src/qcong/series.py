@@ -372,6 +372,9 @@ class QSeries:
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through _new, as __setattr__ refuses
+        return QSeries._new, (self.num, self.val, self.prec, self.ram, self.den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

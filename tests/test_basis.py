@@ -156,8 +156,9 @@ class TestPhiPowers:
         assert phi_powers(C2, -1, 24) == ()
 
     def test_each_power_keeps_its_own_precision(self, monkeypatch):
-        # the closure trials ask for a few powers at a long precision, then
-        # for many at a short one: only the entries too short are rebuilt
+        # the closure asks for a few powers at a long precision, then, to read
+        # their images in phi, for many at a short one: only the entries too
+        # short are rebuilt
         ctx = PrimeContext(7)
         monkeypatch.setattr(eta, "_kept", {})
         for k, n in ((4, 300), (28, 44), (7, 128)):

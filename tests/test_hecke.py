@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
 
 from qcong import eta, hecke, series
-from qcong.basis import PhiPolynomial, basis_element
+from qcong.basis import NotPolynomialError, PhiPolynomial, basis_element, express_in_phi, phi_powers
 from qcong.hecke import (
     BJ_TABLE,
+    ClosureTrial,
     ModularEquation,
     derive_bj,
     g_poly,
@@ -314,3 +316,105 @@ class TestClosure:
         a = verify_up_closure(PrimeContext(3), trials=5, deg_max=2, seed=1)
         b = verify_up_closure(PrimeContext(3), trials=5, deg_max=2, seed=1)
         assert [t.observed_t for t in a.trials] == [t.observed_t for t in b.trials]
+
+
+def _closure_by_trial(ctx, trials, deg_max, n, seed):
+    """The per-trial series route, kept as the reference: each seeded trial is
+    evaluated, decimated and read in phi on its own."""
+    p = ctx.p
+    out = []
+    for i in range(trials):
+        rng = random.Random(seed * 1000003 + i)
+        while True:
+            d = [rng.randint(-9, 9) for _ in range(deg_max)]
+            if any(d):
+                break
+        poly = PhiPolynomial({k: d[k - 1] * p ** ctx.gamma(k) for k in range(1, deg_max + 1)})
+        try:
+            constant, image = express_in_phi(ctx, poly.evaluate(ctx, n).u_op(p), p * deg_max)
+        except NotPolynomialError as exc:
+            out.append(ClosureTrial(i, poly, None, False, str(exc)))
+            continue
+        if constant != 0:
+            out.append(ClosureTrial(i, poly, None, False, "nonzero constant"))
+            continue
+        t = rp_report(ctx, image).t
+        out.append(ClosureTrial(i, poly, t, t >= ctx.delta))
+    return tuple(out)
+
+
+class TestClosureBasis:
+    """The closure is read from the images of the basis vectors p^gamma(k) phi^k."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_trials_match_the_per_trial_route(self, p):
+        ctx = PrimeContext(p)
+        for seed in (0, 1, 7919):
+            for deg_max in (1, 2, 3, 4):
+                floor = p * (p * deg_max + 8)
+                for n in (None, floor):
+                    report = verify_up_closure(ctx, trials=12, deg_max=deg_max, n=n, seed=seed)
+                    want = _closure_by_trial(ctx, 12, deg_max, n or max(256, floor), seed)
+                    assert report.trials == want, (seed, deg_max, n)
+                    assert report.ok
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_row_per_degree_and_the_routes_agree(self, p):
+        report = verify_up_closure(PrimeContext(p), trials=1, deg_max=6)
+        assert [r.k for r in report.basis] == [1, 2, 3, 4, 5, 6]
+        assert all(r.agree and r.slack >= 0 for r in report.basis)
+        # the least slack is 0, at (k, j) = (1, 1)
+        first = report.basis[0]
+        assert (first.slack, first.j) == (0, 1) and min(r.slack for r in report.basis) == 0
+
+    @staticmethod
+    def _failing(report):
+        assert not report.ok
+        return [r.k for r in report.basis if not (r.agree and r.slack >= 0)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_delta_one_too_high_fails_at_the_least_slack(self, p, monkeypatch):
+        delta = PrimeContext.delta.fget
+        monkeypatch.setattr(PrimeContext, "delta", property(lambda self: delta(self) + 1))
+        report = verify_up_closure(PrimeContext(p), trials=3, deg_max=4)
+        assert self._failing(report) == [1]
+        assert report.basis[0].slack == -1 and report.basis[0].agree
+
+    def test_gamma_1_raised_at_5_is_still_closed(self, monkeypatch):
+        # gamma(1) cancels from t at (k, j) = (1, 1), and only t at j = 1 falls,
+        # by one, for k >= 2: the lattice with gamma(k) = k for every k is
+        # U_5-closed too, so this is no fault the check could catch
+        gamma = PrimeContext.gamma
+        before = verify_up_closure(PrimeContext(5), trials=3, deg_max=4).basis
+        monkeypatch.setattr(PrimeContext, "gamma", lambda self, k: 1 if k == 1 else gamma(self, k))
+        after = verify_up_closure(PrimeContext(5), trials=3, deg_max=4)
+        assert after.ok
+        assert [r.t for r in before] == [1, 3, 3, 4] and [r.t for r in after.basis] == [1, 2, 2, 3]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_changed_b_j_splits_the_routes(self, p, monkeypatch):
+        derive = hecke.derive_bj
+
+        def changed(ctx, n):
+            eq = derive(ctx, n)
+            return ModularEquation(ctx, eq.b[:-1] + (eq.b[-1] + 1,))
+
+        monkeypatch.setattr(hecke, "derive_bj", changed)
+        report = verify_up_closure(PrimeContext(p), trials=3, deg_max=4)
+        assert 1 in self._failing(report) and not report.basis[0].agree
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_changed_coefficient_of_the_phi_squared_image_is_caught(self, p, monkeypatch):
+        # the change keeps every valuation high, so only the Newton route sees it
+        ctx = PrimeContext(p)
+        target = phi_powers(ctx, 2, 256)[2].u_op(p)
+        express = hecke.express_in_phi
+
+        def changed(ctx, s, maxdeg):
+            constant, image = express(ctx, s, maxdeg)
+            return constant, image + PhiPolynomial({1: p**60}) if s == target else image
+
+        monkeypatch.setattr(hecke, "express_in_phi", changed)
+        report = verify_up_closure(ctx, trials=3, deg_max=4)
+        assert self._failing(report) == [2]
+        assert report.basis[1].slack >= 0 and not report.basis[1].agree

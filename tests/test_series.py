@@ -1088,6 +1088,29 @@ class TestInputChecks:
                 setattr(a, name, value)
         assert a == series([1, 2], val=-1)
 
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "asdict"])
+    def test_copies_are_equal_and_immutable(self, how):
+        import copy
+        import dataclasses
+        import pickle
+
+        from qcong.basis import basis_element
+
+        element = basis_element(PrimeContext(3), 2, 12)
+        laurent = series([Fraction(1, 3), 2, Fraction(-5, 7)], val=-2, ram=2)
+        remake = {
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+            "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+            "asdict": lambda s: dataclasses.asdict(dataclasses.replace(element, series=s))["series"],
+        }[how]
+        for a in (series([1, 2], val=-1), laurent, QSeries.zero(4), element.series):
+            b = remake(a)
+            assert b == a and hash(b) == hash(a)
+            assert (b.ram, b.val, b.prec, b.num, b.den) == (a.ram, a.val, a.prec, a.num, a.den)
+            with pytest.raises(AttributeError, match="immutable"):
+                b.val = 0
+
     @pytest.mark.parametrize("t", [0, -2])
     def test_dilate_factor_below_one(self, t):
         with pytest.raises(ValueError, match="dilation factor"):
