@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import count, repeat
 
 from .basis import _residue_family, _up_precision, basis_family, express_in_phi, phi_powers
-from .eta import _longest, euler_product
+from .eta import _eta_power, _longest
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
 from .series import PrecisionError, QSeries, _val_p_int, val_p
 
@@ -173,12 +173,8 @@ def eisenstein(weight: int, n: int) -> QSeries:
 
 
 def _build_j(n: int) -> QSeries:
-    e4 = eisenstein(4, n + 2)
-    delta_unit = euler_product(n + 2) ** 24
-    out = (e4**3 * delta_unit.invert()).shift(-1)
-    if not out.is_integral():
-        raise ArithmeticError("j expansion produced a non-integer coefficient")
-    return out
+    # 1/Delta = q^-1 E^-24, by Miller's recurrence
+    return (eisenstein(4, n + 2) ** 3 * QSeries(_eta_power(-24, n + 2))).shift(-1)
 
 
 def j_series(n: int) -> QSeries:
@@ -191,8 +187,7 @@ def j_series(n: int) -> QSeries:
 def j_series_alt(n: int) -> QSeries:
     """Independent construction route (weight-6 numerator), for cross-checks."""
     e6 = eisenstein(6, n + 2)
-    delta_unit = euler_product(n + 2) ** 24
-    return ((e6**2 * delta_unit.invert()).shift(-1) + 1728).truncate(n)
+    return ((e6**2 * QSeries(_eta_power(-24, n + 2))).shift(-1) + 1728).truncate(n)
 
 
 # ---------------------------------------------------------------------------

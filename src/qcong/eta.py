@@ -2,35 +2,56 @@
 
 The fractional q^{1/24} prefactor of eta always cancels in the quotients used
 here (the net q-exponent is the integer -1), so eta enters the exact path only
-through its stripped Euler product.  The one non-exact path is the numeric
-evaluation on the upper half-plane used for the cusp-relation check.
+through its stripped Euler product E = prod (1 - q^k), whose integral powers
+come from J. C. P. Miller's recurrence on E's pentagonal support: no Newton
+iteration runs here.  The one non-exact path is the numeric evaluation on the
+upper half-plane used for the cusp-relation check.
 """
 from __future__ import annotations
 
 import cmath
 
 from .primes import PrimeContext
-from .series import QSeries
+from .series import QSeries, mul_int_lists
+
+
+def _pentagonal(n: int):
+    """(g, e_g) for each nonzero coefficient e_g q^g of E with 1 <= g <= n,
+    g ascending: the pentagonal numbers k (3k -+ 1) / 2, e_g = (-1)^k (Euler)."""
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        yield g, (-1) ** k
+        if g + k <= n:
+            yield g + k, (-1) ** k
+        k += 1
 
 
 def euler_product(n: int) -> QSeries:
     """prod_{k>=1} (1 - q^k) to precision n, via the pentagonal-number support."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n:
-            break
-        sign = -1 if k % 2 else 1
-        coeffs[g1] = sign
-        if g2 <= n:
-            coeffs[g2] = sign
-        k += 1
+    coeffs = [1] + [0] * n
+    for g, e in _pentagonal(n):
+        coeffs[g] = e
     return QSeries(coeffs, 0, n)
+
+
+def _eta_power(a: int, n: int) -> list:
+    """E^a to q^n as n + 1 ints, by J. C. P. Miller's recurrence over the
+    pentagonal support of E: m f_m = sum_g ((a + 1) g - m) e_g f_(m-g) (Knuth,
+    TAOCP vol. 2, 4.7), whose division by m is exact, or ArithmeticError."""
+    terms = [(g, (a + 1) * g * e, e) for g, e in _pentagonal(n)]
+    f = [1] + [0] * n
+    top = 0  # terms[:top] are the g <= m; at most one enters per m
+    for m in range(1, n + 1):
+        top += top < len(terms) and terms[top][0] == m
+        t = 0
+        for g, c, e in terms[:top]:
+            t += (c - e * m) * f[m - g]
+        f[m], r = divmod(t, m)
+        if r:
+            raise ArithmeticError(f"E^{a}: the division by {m} is not exact")
+    return f
 
 
 _kept: dict = {}  # key -> the longest value built under it
@@ -50,17 +71,12 @@ def _longest(key, n: int, build):
 
 
 def _build_psi(ctx: PrimeContext, n: int) -> QSeries:
-    """psi to precision n, and beyond where its inputs determine it.  The
-    inverse of E(q^p) is (1/E)(q^p): Newton runs on the t/p + 1 terms of E,
-    not on the t terms of E(q^p), of which all but every p-th are zero."""
+    """psi to precision n, and beyond where its inputs determine it, as
+    (E (1/E)(q^p))^lam: 1/E is Euler's partition recurrence, Miller's at
+    a = -1, on the t/p + 1 terms of E, not on the t terms of E(q^p)."""
     t = n + 2
-    e = euler_product(t)
-    ep_inv = euler_product(t // ctx.p + 1).invert().dilate(ctx.p)
-    unit = (e * ep_inv) ** ctx.lam
-    out = unit.shift(-1)
-    if not out.is_integral():
-        raise ArithmeticError("hauptmodul expansion produced a non-integer coefficient")
-    return out
+    ep_inv = QSeries(_eta_power(-1, t // ctx.p + 1)).dilate(ctx.p)
+    return ((euler_product(t) * ep_inv) ** ctx.lam).shift(-1)
 
 
 def psi(ctx: PrimeContext, n: int) -> QSeries:
@@ -71,10 +87,13 @@ def psi(ctx: PrimeContext, n: int) -> QSeries:
 
 
 def _build_phi(ctx: PrimeContext, n: int) -> QSeries:
-    out = psi(ctx, n + 2).invert()
-    if not out.is_integral():
-        raise ArithmeticError("hauptmodul inverse produced a non-integer coefficient")
-    return out
+    """phi = q E^(-lam) E(q^p)^lam from two recurrences and one product: it
+    builds neither psi nor a reciprocal.  It reaches n + 4, as 1/psi from psi
+    to n + 2 does, so that a request up to n + 4 reads it from the store."""
+    t = n + 3
+    ep = [0] * (t + 1)
+    ep[:: ctx.p] = _eta_power(ctx.lam, t // ctx.p)
+    return QSeries(mul_int_lists(_eta_power(-ctx.lam, t), ep, t + 1), 1)
 
 
 def phi(ctx: PrimeContext, n: int) -> QSeries:

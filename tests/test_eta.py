@@ -1,10 +1,13 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
+from qcong import eta
 from qcong.eta import (
     _build_psi,
+    _eta_power,
     check_cusp_relation,
     eta_eval,
     euler_product,
@@ -14,7 +17,7 @@ from qcong.eta import (
     psi_eval,
 )
 from qcong.primes import PrimeContext
-from qcong.series import QSeries, agree
+from qcong.series import QSeries, agree, mul_int_lists
 
 PSI2 = [1, -24, 276, -2048, 11202, -49152]  # printed expansion, exponents -1..4
 
@@ -35,6 +38,20 @@ def brute_partitions(n):
         for m in range(k, n + 1):
             parts[m] += parts[m - k]
     return parts
+
+
+# acceptance-04's sizes: a little beyond the psi its sweep builds from
+# base_prec 4096 at p = 2 and 2048 at p = 3, 5, 7
+ACCEPTANCE_N = {2: 4119, 3: 2071, 5: 2071, 7: 2071}
+
+
+def all_miller_psi(ctx, n):
+    """The reference route for psi: q^-1 E^lam (E^-lam)(q^p), from two
+    recurrences and one product."""
+    t = n + 1
+    ep = [0] * (t + 1)
+    ep[:: ctx.p] = _eta_power(-ctx.lam, t // ctx.p)
+    return QSeries(mul_int_lists(_eta_power(ctx.lam, t), ep, t + 1), -1)
 
 
 @pytest.mark.parametrize(
@@ -71,6 +88,42 @@ class TestEulerProduct:
         assert all(c in (-1, 0, 1) for c in e.coeffs)
 
 
+class TestEtaPower:
+    def test_first_power_is_the_euler_product(self):
+        for n in (0, 1, 2, 7, 300):
+            assert QSeries(_eta_power(1, n)) == euler_product(n)
+
+    def test_inverse_is_the_partition_numbers(self):
+        parts = _eta_power(-1, 120)
+        assert parts == brute_partitions(120)
+        assert parts[100] == 190_569_292
+
+    def test_24th_power_matches_repeated_products(self):
+        assert QSeries(_eta_power(24, 300)) == euler_product(300) ** 24
+
+    def test_a_non_integral_power_leaves_a_remainder(self):
+        # E^(1/2) = 1 - q/2 + ...: the first division is not exact
+        with pytest.raises(ArithmeticError, match="division by 1 is not exact"):
+            _eta_power(Fraction(1, 2), 4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_changed_pentagonal_sign_is_caught(self, p, monkeypatch):
+        # the recurrence reads a wrong sign at q^12 while E itself stays right:
+        # psi then carries E / E', which phi does not cancel
+        pentagonal = eta._pentagonal
+        monkeypatch.setattr(eta, "_kept", {})
+        monkeypatch.setattr(eta, "euler_product", brute_euler)
+        monkeypatch.setattr(
+            eta, "_pentagonal", lambda n: ((g, -e if g == 12 else e) for g, e in pentagonal(n))
+        )
+        ctx, n = PrimeContext(p), 128
+        try:
+            caught = psi(ctx, n) * phi(ctx, n + 2) != QSeries.one(n + 1)
+        except ArithmeticError:
+            caught = True
+        assert caught
+
+
 class TestPsi:
     def test_printed_level2_expansion(self):
         s = psi(PrimeContext(2), 4)
@@ -85,9 +138,11 @@ class TestPsi:
     def test_lambda_values(self):
         assert [PrimeContext(p).lam for p in (2, 3, 5, 7)] == [24, 12, 6, 4]
 
-    def test_integrality_deep(self):
-        for p in (2, 3, 5, 7):
-            assert psi(PrimeContext(p), 2048).is_integral()
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_all_miller_route(self, p):
+        ctx = PrimeContext(p)
+        for n in (791, ACCEPTANCE_N[p]):
+            assert psi(ctx, n) == all_miller_psi(ctx, n), n
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_short_inverse_matches_the_dense_one(self, p):
@@ -111,18 +166,30 @@ class TestPhi:
     def test_product_with_psi_is_one(self):
         for p in (2, 3, 5, 7):
             ctx = PrimeContext(p)
-            prod = psi(ctx, 32) * phi(ctx, 34)
-            assert prod.coeff(0) == 1
-            assert all(prod.coeff(n) == 0 for n in range(1, prod.prec + 1))
+            for n in (791, ACCEPTANCE_N[p]):
+                assert psi(ctx, n) * phi(ctx, n + 2) == QSeries.one(n + 1), (p, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_inverse_of_psi(self, p):
+        ctx = PrimeContext(p)
+        for n in (791, ACCEPTANCE_N[p]):
+            assert phi(ctx, n) == psi(ctx, n + 2).invert().truncate(n), n
+
+    def test_builds_no_psi(self, monkeypatch):
+        def no_psi(*args):
+            raise AssertionError("psi was built")
+
+        monkeypatch.setattr(eta, "_kept", {})
+        monkeypatch.setattr(eta, "_build_psi", no_psi)
+        for p in (2, 3, 5, 7):
+            ph = phi(PrimeContext(p), 256)
+            assert (ph.val, ph.prec, ph.coeff(1)) == (1, 256, 1)
+        assert [phi(PrimeContext(2), 256).coeff(n) for n in (2, 3)] == [24, 300]
 
     def test_leading_coefficient(self):
         for p in (2, 3, 5, 7):
             ph = phi(PrimeContext(p), 8)
             assert ph.val == 1 and ph.coeff(1) == 1
-
-    def test_integrality_deep(self):
-        for p in (2, 3, 5, 7):
-            assert phi(PrimeContext(p), 2048).is_integral()
 
 
 class TestEtaEval:
