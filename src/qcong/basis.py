@@ -245,7 +245,12 @@ _PHI_GUARD = 8  # coefficients of s beyond maxdeg, which must cancel too
 
 
 def _up_precision(p: int, maxdeg: int) -> int:
-    """Least n for which U_p of a series known to n (n // p terms) is read in phi to maxdeg."""
+    """Least n for which U_p of a series s known to n (so to n // p) is read in phi to maxdeg,
+    and a proof, not a sample: if U_p s is a level-p function whose only pole, at the cusp 0,
+    has order <= maxdeg, so is the residual left once q^0 .. q^maxdeg are cleared, which then
+    vanishes to order > maxdeg at infinity and is 0 by the valence formula.  The _PHI_GUARD
+    coefficients past q^maxdeg check that order: a pole of order e, maxdeg < e <=
+    maxdeg + _PHI_GUARD, leaves a nonzero residual at some q^i, maxdeg < i <= e."""
     return p * (maxdeg + _PHI_GUARD)
 
 

@@ -271,33 +271,23 @@ class UpStepDecomposition:
     constant: int
     lower_pole_order: int | None  # m/p when p | m, else None
     degree_valuations: dict  # phi-degree -> valuation
-    floors: dict  # phi-degree -> predicted floor lam*i/2 - 1
-    ok: bool
+    ok: bool  # each valuation at degree k is at least lam k/2 - 1
 
 
 def decompose_up_step(ctx: PrimeContext, m: int) -> UpStepDecomposition:
     """One U_p application on a basis element, split as constant
     (+ lower basis element when p divides m) + phi-polynomial with
-    per-degree valuation floors lam*i/2 - 1."""
+    per-degree valuation floors lam*k/2 - 1.  f_m is known to p (m + 8),
+    the least precision that proves the split."""
     if m < 1:
         raise ValueError("m must be positive")
     p = ctx.p
-    # f_m is known to base_prec - m + 1, f_1 to base_prec: one family serves every m
-    base_prec = max(256, _up_precision(p, m) + m - 1)
-    fam = basis_family(ctx, m, base_prec - m + 1)
+    fam = basis_family(ctx, m, _up_precision(p, m))
     s = fam[m].series.u_op(p)
-    lower = None
-    if m % p == 0:
-        lower = m // p
+    lower = m // p if m % p == 0 else None
+    if lower:
         s = s - fam[lower].series
     constant, poly = express_in_phi(ctx, s, m)
-    vals = {}
-    floors = {}
-    ok = True
-    for k, c in sorted(poly.coeffs.items()):
-        v = val_p(c, p)
-        vals[k] = v
-        floors[k] = ctx.lam * k // 2 - 1
-        if v < floors[k]:
-            ok = False
-    return UpStepDecomposition(ctx, m, constant, lower, vals, floors, ok)
+    vals = {k: val_p(c, p) for k, c in sorted(poly.coeffs.items())}
+    ok = all(v >= ctx.lam * k // 2 - 1 for k, v in vals.items())
+    return UpStepDecomposition(ctx, m, constant, lower, vals, ok)

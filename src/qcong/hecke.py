@@ -29,17 +29,18 @@ class ModularEquation:
 
 @dataclass(frozen=True)
 class RpReport:
-    poly: PhiPolynomial
     member: bool
     t: object  # largest t with poly in p^t * lattice; math.inf for zero
     per_degree: dict  # degree -> valuation of that coefficient
 
 
-def derive_bj(ctx: PrimeContext, n: int = 128) -> ModularEquation:
+def derive_bj(ctx: PrimeContext, n: int | None = None) -> ModularEquation:
     """Recover the integers b_j from U_p phi = p * sum b_j phi^j, exactly,
-    from phi known to n, at least p (p + 8) (else ``PrecisionError``)."""
-    p = ctx.p
-    if n < (least := _up_precision(p, p)):
+    from phi known to n, by default the least precision that proves them,
+    p (p + 8) (below it ``PrecisionError``); a larger n gives the same b_j."""
+    p, least = ctx.p, _up_precision(ctx.p, ctx.p)
+    n = least if n is None else n
+    if n < least:
         raise PrecisionError(f"precision must be at least {least}")
     constant, poly = express_in_phi(ctx, phi(ctx, n).u_op(p), p)
     if constant != 0:
@@ -91,7 +92,7 @@ def rp_report(ctx: PrimeContext, poly: PhiPolynomial) -> RpReport:
         raise ValueError("lattice membership is defined for constant-free polynomials")
     per_degree = {k: val_p(c, ctx.p) for k, c in sorted(poly.coeffs.items())}
     t = min((v - ctx.gamma(k) for k, v in per_degree.items()), default=math.inf)
-    return RpReport(poly, t >= 0, t, per_degree)
+    return RpReport(t >= 0, t, per_degree)
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,12 @@ def verify_hpoly_relation(ctx: PrimeContext, n: int = 128) -> QSeries:
     """Left-hand side of the algebraic relation satisfied by
     h = p^{lam/2} phi(tau/p), written in q by tau -> p tau: h^k becomes
     p^{lam k/2} phi^k, read from the shared ``phi_powers`` table, and each
-    g_j(phi) is dilated by p.  Zero to precision n iff the relation holds."""
+    g_j(phi) is dilated by p.  The b_j are exact at ``derive_bj``'s own
+    precision, whatever n is.  Zero to precision n iff the relation holds."""
     p = ctx.p
-    eq = derive_bj(ctx, max(n, 128))
+    powers = phi_powers(ctx, p, n)  # first, so that phi at n serves the b_j too
+    eq = derive_bj(ctx)
     scale = p ** (ctx.lam // 2)
-    powers = phi_powers(ctx, p, n)
     lhs = powers[p] * scale**p
     for j in range(1, p + 1):
         # g_j known to n // p in q is known to (n // p + 1) p - 1 >= n once dilated
@@ -176,15 +178,15 @@ def verify_up_closure(ctx: PrimeContext, trials: int = 100, deg_max: int = 4,
                       n: int | None = None, seed: int = 0) -> ClosureReport:
     """U_p maps L_D = {sum_{k<=D} c_k phi^k : v_p(c_k) >= gamma(k)} into p^delta L, proved
     by the D images U_p(p^gamma(k) phi^k), each read in phi by the series route and equal
-    to the Newton route, power_sums[k] / p^(lam k/2 + 1).  Trials are their combinations."""
+    to the Newton route, power_sums[k] / p^(lam k/2 + 1).  Trials are their combinations.
+    phi is known to n, by default p (p D + 8), the least that proves every image."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if deg_max < 1:
         raise ValueError("deg_max must be positive")
     p = ctx.p
     need = _up_precision(p, p * deg_max)
-    if n is None:
-        n = max(256, need)
+    n = need if n is None else n
     if n < need:  # checked before phi is built
         raise PrecisionError(f"precision {n} too low for deg_max {deg_max}: {need} suffices")
     powers = phi_powers(ctx, deg_max, n)

@@ -22,6 +22,8 @@ class PrimeContext:
     exploratory: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.p) is not int:  # 2.0 == 2 would share its store keys, bool is an int
+            raise TypeError(f"the level p must be an int, got {type(self.p).__name__}")
         if self.p in GENUS_ZERO_PRIMES:
             return
         if self.p == 13 and self.exploratory:

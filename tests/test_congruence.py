@@ -1,6 +1,6 @@
 import dataclasses
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import pytest
 
@@ -382,7 +382,8 @@ class TestDecomposeUpStep:
         assert dec.constant == -24
         assert dec.lower_pole_order is None
         assert dec.degree_valuations == {1: 11}
-        assert dec.floors == {1: 11}
+        # the one valuation meets its floor lam/2 - 1 = 11 exactly
+        assert dec.degree_valuations[1] == PrimeContext(2).lam // 2 - 1
         assert dec.ok
 
     def test_lower_element_split(self):
@@ -402,41 +403,35 @@ class TestDecomposeUpStep:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_pole_orders_share_one_psi_expansion(self, p, monkeypatch):
-        # from an empty store, m = 1..6 build one psi and one family from it,
-        # and express_in_phi, whose inputs shorten as m grows, reads every
-        # phi^k from the store; each f_m and each phi^k is built once
+        # from an empty store, each m asks for its family at the rule, f_m
+        # known to p (m + 8); the request grows with m, so each m builds
+        # f_1 .. f_m again from one psi, f_k known to p (m + 8) + m - k
         monkeypatch.setattr(eta, "_kept", {})
-        builds = Counter()
-        for module, name in ((eta, "_build_psi"), (eta, "_build_phi")):
-
-            def counted(*args, _build=getattr(module, name), _name=name):
-                builds[_name] += 1
-                return _build(*args)
-
-            monkeypatch.setattr(module, name, counted)
+        asked = []
+        family = congruence.basis_family
+        monkeypatch.setattr(congruence, "basis_family",
+                            lambda ctx, m, n: asked.append(n) or family(ctx, m, n))
         ctx = PrimeContext(p)
-        entries = defaultdict(dict)  # key -> {id: each value kept under it}
         for m in range(1, 7):
             decompose_up_step(ctx, m)
-            for key, t in eta._kept.items():
-                entries[key][id(t)] = t
-        assert builds == {"_build_psi": 1, "_build_phi": 1}
-        assert set(entries) == {("psi", ctx), ("phi", ctx)} | {
+            kept = [eta._kept[("f", ctx, k)].prec for k in range(1, m + 1)]
+            assert kept == [p * (m + 8) + m - k for k in range(1, m + 1)], m
+        assert asked == [p * (m + 8) for m in range(1, 7)]
+        assert set(eta._kept) == {("psi", ctx), ("phi", ctx)} | {
             (name, ctx, k) for name, ks in (("f", range(1, 7)), ("phi^", range(7))) for k in ks
         }
-        assert all(len(built) == 1 for built in entries.values())
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_small_orders_build_psi_at_256(self, p, monkeypatch):
-        # the precision rule changes no size that a workload runs: from an
-        # empty store, m = 1..6 build psi once, at 256
+    def test_small_orders_build_psi_at_the_rule(self, p, monkeypatch):
+        # from an empty store, m = 1..6 each ask psi at the rule p (m + 8) + m - 1,
+        # f_1's precision in a family whose f_m is known to p (m + 8), and no more
         monkeypatch.setattr(eta, "_kept", {})
         asked = []
         build = eta._build_psi
         monkeypatch.setattr(eta, "_build_psi", lambda ctx, n: asked.append(n) or build(ctx, n))
         for m in range(1, 7):
             decompose_up_step(PrimeContext(p), m)
-        assert asked == [256]
+        assert asked == [p * (m + 8) + m - 1 for m in range(1, 7)]
 
     def test_every_order_keeps_enough_after_one_step(self, monkeypatch):
         # U_p leaves n // p coefficients of f_m, known to n, and writing the

@@ -260,3 +260,13 @@ def test_exploratory_level_13():
 def test_gamma_below_degree_one_raises(k):
     with pytest.raises(ValueError, match="degrees k >= 1"):
         PrimeContext(2).gamma(k)
+
+
+@pytest.mark.parametrize("p", [2.0, 7.0, True, Fraction(2), "2"])
+def test_a_level_that_is_not_an_int_is_refused(p):
+    # 2.0 == 2 and hashes alike, so it would share the store keys of level 2
+    # while its lam, 24.0, breaks psi and the sweep far from the cause
+    with pytest.raises(TypeError, match="the level p must be an int"):
+        PrimeContext(p)
+    with pytest.raises(TypeError, match="the level p must be an int"):
+        PrimeContext(p, exploratory=True)

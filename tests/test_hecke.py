@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from qcong import eta, hecke, series
+from qcong import congruence, eta, hecke, series
 from qcong.basis import NotPolynomialError, PhiPolynomial, basis_element, express_in_phi, phi_powers
 from qcong.hecke import (
     BJ_TABLE,
@@ -18,6 +19,7 @@ from qcong.hecke import (
     verify_power_sum_divisibility,
     verify_up_closure,
 )
+from qcong.congruence import decompose_up_step
 from qcong.eta import phi
 from qcong.primes import PrimeContext
 from qcong.series import QSeries, agree
@@ -248,7 +250,7 @@ class TestHPolyRelation:
     def test_wrong_modular_equation_leaves_a_residual(self, p, first, monkeypatch):
         derive = hecke.derive_bj
 
-        def wrong_bj(ctx, n=128):
+        def wrong_bj(ctx, n=None):
             b = derive(ctx, n).b
             return ModularEquation(ctx, (b[0] + 1,) + b[1:])
 
@@ -303,19 +305,42 @@ class TestClosure:
             verify_up_closure(PrimeContext(p), trials=1, deg_max=4, n=need)
 
     def test_the_default_precision_is_the_one_enforced(self, monkeypatch):
-        # at p = 7 the floor p (p deg_max + 8) = 252 rounds up to 256, and
-        # phi is built no longer than that
-        built = []
+        # at every prime phi is built once, at the rule's p (p deg_max + 8),
+        # 252 at p = 7, and no longer
         build = eta._build_phi
-        monkeypatch.setattr(eta, "_kept", {})
-        monkeypatch.setattr(eta, "_build_phi", lambda ctx, n: built.append(n) or build(ctx, n))
-        assert verify_up_closure(PrimeContext(7)).ok
-        assert built == [256]
+        for p in (2, 3, 5, 7):
+            built = []
+            monkeypatch.setattr(eta, "_kept", {})
+            monkeypatch.setattr(eta, "_build_phi", lambda ctx, n: built.append(n) or build(ctx, n))
+            assert verify_up_closure(PrimeContext(p)).ok
+            assert built == [p * (4 * p + 8)], p
 
     def test_deterministic(self):
         a = verify_up_closure(PrimeContext(3), trials=5, deg_max=2, seed=1)
         b = verify_up_closure(PrimeContext(3), trials=5, deg_max=2, seed=1)
         assert [t.observed_t for t in a.trials] == [t.observed_t for t in b.trials]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_phi_reading_at_the_rule_equals_one_at_256(p, monkeypatch):
+    # the rule's least precision proves each reading, so reading at 256
+    # changes no b_j, closure row, trial or split; each reading at the rule
+    # starts from an empty store, so that it cannot see a longer series
+    ctx = PrimeContext(p)
+    monkeypatch.setattr(eta, "_kept", {})
+    assert derive_bj(ctx).b == derive_bj(ctx, 256).b == BJ_TABLE[p]
+    for deg_max in (1, 2, 3, 4):
+        monkeypatch.setattr(eta, "_kept", {})
+        short = verify_up_closure(ctx, trials=12, deg_max=deg_max)
+        long = verify_up_closure(ctx, trials=12, deg_max=deg_max, n=256)
+        assert (short.basis, short.trials) == (long.basis, long.trials), deg_max
+    monkeypatch.setattr(eta, "_kept", {})
+    short = [decompose_up_step(ctx, m) for m in range(1, 13)]
+    rule = congruence._up_precision  # widened below, so that f_m is known to 256
+    monkeypatch.setattr(congruence, "_up_precision", lambda p, d: max(256, rule(p, d)))
+    for a, b in zip(short, (decompose_up_step(ctx, m) for m in range(1, 13))):
+        for field in dataclasses.fields(a):
+            assert getattr(a, field.name) == getattr(b, field.name), (a.m, field.name)
 
 
 def _closure_by_trial(ctx, trials, deg_max, n, seed):
@@ -354,7 +379,7 @@ class TestClosureBasis:
                 floor = p * (p * deg_max + 8)
                 for n in (None, floor):
                     report = verify_up_closure(ctx, trials=12, deg_max=deg_max, n=n, seed=seed)
-                    want = _closure_by_trial(ctx, 12, deg_max, n or max(256, floor), seed)
+                    want = _closure_by_trial(ctx, 12, deg_max, n or floor, seed)
                     assert report.trials == want, (seed, deg_max, n)
                     assert report.ok
 
@@ -405,9 +430,10 @@ class TestClosureBasis:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a_changed_coefficient_of_the_phi_squared_image_is_caught(self, p, monkeypatch):
-        # the change keeps every valuation high, so only the Newton route sees it
+        # the change keeps every valuation high, so only the Newton route sees it;
+        # the image is read at the closure's own precision, p (4p + 8)
         ctx = PrimeContext(p)
-        target = phi_powers(ctx, 2, 256)[2].u_op(p)
+        target = phi_powers(ctx, 2, p * (4 * p + 8))[2].u_op(p)
         express = hecke.express_in_phi
 
         def changed(ctx, s, maxdeg):
