@@ -40,6 +40,36 @@ def _limb_digits(a, b):
     return digits
 
 
+class _Calls(list):
+    packs = 0
+
+    def clear(self):
+        super().clear()
+        self.packs = 0
+
+
+def _spy_methods(monkeypatch):
+    """The names of the product methods called, in order, and the count of
+    operands packed for the binary radix."""
+    calls = _Calls()
+    for name in ("_school_mul", "_binary_kronecker", "_decimal_kronecker"):
+        method = getattr(qcong.series, name)
+
+        def spy(*args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(qcong.series, name, spy)
+    pack = qcong.series._ks2_pack
+
+    def counted(*args):
+        calls.packs += 1
+        return pack(*args)
+
+    monkeypatch.setattr(qcong.series, "_ks2_pack", counted)
+    return calls
+
+
 def series(coeffs, val=0, prec=None, ram=1):
     return QSeries(coeffs, val, prec, ram)
 
@@ -531,16 +561,8 @@ class TestKroneckerKernel:
             assert _decimal_kronecker(a, b, _limb_digits(a, b)) == ref
             assert mul_int_lists(a, b) == ref
 
-    def test_operand_sizes_alone_choose_the_method(self, monkeypatch):
-        calls = []
-        for name in ("_school_mul", "_binary_kronecker", "_decimal_kronecker"):
-            method = getattr(qcong.series, name)
-
-            def spy(*args, _name=name, _method=method):
-                calls.append(_name)
-                return _method(*args)
-
-            monkeypatch.setattr(qcong.series, name, spy)
+    def test_operand_shape_chooses_the_method(self, monkeypatch):
+        calls = _spy_methods(monkeypatch)
 
         rng = random.Random(16)
         n = 100  # n * n > _SCHOOL_CUTOFF
@@ -559,19 +581,92 @@ class TestKroneckerKernel:
         # most _SCHOOL_CUTOFF coefficients, however long the other is
         short = [rng.randint(-9, 9) for _ in range(_SCHOOL_CUTOFF)]
         long = [rng.randint(-9, 9) for _ in range(4096)]
+        # a dilated operand, X(q^3) with 100 terms, makes one product per
+        # residue class of the other operand, and X is packed once for all
+        dilated = [0] * 298
+        dilated[::3] = [rng.randint(-9, 9) or 1 for _ in range(100)]
+        # 64 terms of 25 bits against 64 of 4,096: a schoolbook pair costs
+        # a one-digit multiply, Kronecker a 4,130-bit limb per term
+        narrow = [rng.randint(-(2**24), 2**24) for _ in range(64)]
+        wide = [rng.randint(-(2**4095), 2**4095) for _ in range(64)]
         cases = [
-            ((short, long, None), "_school_mul"),
-            ((long, long, _SCHOOL_CUTOFF), "_school_mul"),
-            ((short + [1], short[::-1] + [1], None), "_binary_kronecker"),
-            ((*operands(at_cutoff - 1), None), "_binary_kronecker"),
-            ((*operands(at_cutoff), None), "_decimal_kronecker"),
+            ((short, long, None), ["_school_mul"]),
+            ((long, long, _SCHOOL_CUTOFF), ["_school_mul"]),
+            ((short + [1], short[::-1] + [1], None), ["_binary_kronecker"]),
+            ((*operands(at_cutoff - 1), None), ["_binary_kronecker"]),
+            ((*operands(at_cutoff), None), ["_decimal_kronecker"]),
+            ((long[:300], dilated, None), ["_binary_kronecker"] * 3),
+            ((narrow, wide, None), ["_school_mul"]),
+            ((wide, narrow, None), ["_school_mul"]),
         ]
         assert n * (at_cutoff - 1) < _DECIMAL_CUTOFF <= n * at_cutoff
-        for (a, b, length), method in cases:
+        for (a, b, length), methods in cases:
             calls.clear()
             product = mul_int_lists(a, b, length)
-            assert calls == [method]
+            assert calls == methods
             assert product == _school_mul(a, b, length)
+        calls.clear()
+        mul_int_lists(long[:300], dilated)
+        assert calls.packs == 4  # three classes of long[:300], X once
+
+    def test_shape_reads_match_schoolbook(self, monkeypatch):
+        calls = _spy_methods(monkeypatch)
+        rng = random.Random(24)
+        seen = set()
+
+        def check(a, b, lengths=()):
+            full = _school_mul(a, b)
+            for length in {None, 1, len(full) // 3, len(full) - 1, len(full) + 5, *lengths}:
+                calls.clear()
+                want = full if length is None else (full + [0] * 5)[:length]
+                assert mul_int_lists(a, b, length) == want
+                assert _kronecker_mul(a, b, length) == want
+                seen.update(calls)
+
+        def dilate(x, t):
+            out = [0] * (len(x) * t - t + 1)
+            out[::t] = x
+            return out
+
+        for t in (2, 3, 5, 7):
+            for bits in (1, 30, 300):
+                x = [rng.randint(-(2**bits), 2**bits) or 1 for _ in range(rng.randint(34, 90))]
+                y = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(40, 400))]
+                d = dilate(x, t)
+                check(d, y)  # on either side
+                check(y, d)
+                check(d, d)  # a square
+                check(d, dilate(y, t))  # both, by the same t: classes r > 0 are zero
+                check(d, dilate(y[:60], 2 if t != 2 else 3))  # both, by different t
+                check([0, 0] + d + [0, 0, 0], [0] + y)  # leading and trailing zeros
+                check([-abs(c) for c in d], [-abs(c) for c in y])  # all negative
+        assert seen == {"_school_mul", "_binary_kronecker"}
+        # classes of _SCHOOL_CUTOFF and of _SCHOOL_CUTOFF + 1 terms
+        for t in (2, 7):
+            for m in (_SCHOOL_CUTOFF, _SCHOOL_CUTOFF + 1):
+                x = [rng.randint(-99, 99) or 1 for _ in range(m)]
+                y = [rng.randint(-99, 99) for _ in range(m * t)]
+                calls.clear()
+                assert mul_int_lists(dilate(x, t), y, m * t) == _school_mul(dilate(x, t), y, m * t)
+                method = "_school_mul" if m == _SCHOOL_CUTOFF else "_binary_kronecker"
+                assert calls == [method] * t
+        # a class product past _DECIMAL_CUTOFF: 300 terms at a limb of about 810 bits
+        x = [rng.randint(-(2**400), 2**400) for _ in range(300)]
+        y = [rng.randint(-(2**400), 2**400) for _ in range(600)]
+        calls.clear()
+        assert mul_int_lists(dilate(x, 2), y) == _school_mul(dilate(x, 2), y)
+        assert calls == ["_decimal_kronecker"] * 2
+        # narrow-by-wide pairs on both sides of _NARROW_CUTOFF, either way round
+        for n, narrow in ((40, 25), (128, 25), (64, 150)):
+            a = [rng.randint(-(2**narrow), 2**narrow) for _ in range(n)]
+            methods = set()
+            for wide in (60, 200, 400, 700, 1100, 1700, 2600):
+                b = [rng.randint(-(2**wide), 2**wide) for _ in range(n)]
+                for x, y, length in ((a, b, None), (b, a, n), (a + a, b, 2 * n)):
+                    calls.clear()
+                    assert mul_int_lists(x, y, length) == _school_mul(x, y, length)
+                    methods.update(calls)
+            assert methods >= {"_school_mul", "_binary_kronecker"}
 
     def test_truncated_product_by_each_method(self):
         # coefficients 0..length-1 of the product, for lengths below, at and
@@ -615,8 +710,8 @@ class TestKroneckerKernel:
         for x, y in [(a, b), (a, a)]:
             full = _school_mul(x, y)
             length = n + 1
-            bits = _limb_bits(x, y, length)
-            assert bits < _limb_bits(x, y, len(full)) // 2 + 16
+            bits = _limb_bits(x, y, length)[0]
+            assert bits < _limb_bits(x, y, len(full))[0] // 2 + 16
             assert 4 * max(map(abs, full[:length])) < 2**bits
             assert max(map(abs, full[length:])) >= 2**bits
             digits = bits * 30103 // 100000 + 1
@@ -629,7 +724,7 @@ class TestKroneckerKernel:
 
     def _check_binary(self, a, b, length=None):
         want = _school_mul(a, b, length)
-        bits = _limb_bits(a, b, len(want))
+        bits = _limb_bits(a, b, len(want))[0]
         assert _binary_kronecker(a, b, bits, length) == want
         assert mul_int_lists(a, b, length) == want
         return want
@@ -687,7 +782,7 @@ class TestKroneckerKernel:
                 b = small[:]
                 b[m - 1 - gap] = -(2**200) + 3
                 full = _school_mul(a, b)
-                bits = _limb_bits(a, b, m)
+                bits = _limb_bits(a, b, m)[0]
                 over = [k for k, c in enumerate(full) if abs(c) >= 2 ** (8 * ((bits + 7) // 8))]
                 assert over == [2 * m - 2 - gap] and over[0] % 2 == parity
                 assert self._check_binary(a, b, m) == full[:m]
@@ -706,7 +801,7 @@ class TestKroneckerKernel:
         a = [3] * 40 + [2**5000] + [1] * 40
         b = [0] * 41 + [5] * 40
         assert _kronecker_mul(a, b, 81) == _school_mul(a, b)[:81]
-        assert limbs == [_limb_bits(a[:40], b, 81)] and limbs[0] < 32
+        assert limbs == [_limb_bits(a[:40], b, 81)[0]] and limbs[0] < 32
 
     def test_truncated_rational_product(self):
         # polynomials known to q^(length-1): their product is known there too
