@@ -12,15 +12,16 @@ step on int lists, and the residues mod p^K that the divisibility sweep reads
 kernel, each f_k packed once: the multipliers come from the first m
 coefficients, and the product less the cleared principal part is formed on
 the packed values and unpacked once.  The polynomial in psi that f_m is
-comes on demand from the Lagrange-Faber formula.  Each exact f_m and each
-power of phi is kept in the store of ``eta``.  The precision that writing U_p
-of a series in phi needs is stated once, by ``_up_precision``.
+comes on demand from the Lagrange-Faber formula.  Both families are built at
+each call, and the powers of phi are read from the store of ``eta``.  The
+precision that writing U_p of a series in phi needs is stated once, by
+``_up_precision``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eta import _longest, phi, psi
+from .eta import phi_powers, psi
 from .primes import PrimeContext
 from .series import PrecisionError, QSeries, _ks2_mul_sub, _ks2_pack, _school_mul, mul_int_lists
 
@@ -139,21 +140,6 @@ class BasisElement:
         return {k: c for k in range(1, m + 1) if (c := m * powers[k].coeff(m) // k)}
 
 
-def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
-    """phi^0 .. phi^k, each truncated at precision n, read from the shared
-    store, where each power is kept on its own.  Only powers shorter than n
-    are rebuilt, as phi^(i-1) * phi with phi at n, and each keeps the
-    precision that product determines, n + i - 1.  So a later request at
-    n + j for the powers above phi^j, as ``PhiPolynomial.evaluate`` makes,
-    is served without a product.  A power whose valuation k lies beyond n
-    is zero to precision n."""
-    ph = phi(ctx, n)
-    kept = [_longest(("phi^", ctx, 0), n, lambda: QSeries.one(n))]
-    for i in range(1, k + 1):
-        kept.append(_longest(("phi^", ctx, i), n, lambda: kept[-1] * ph if i > 1 else ph))
-    return tuple(t.truncate(n) if t.val <= n else QSeries.zero(n) for t in kept[: k + 1])
-
-
 def _clear(t: list, runs) -> dict:
     """Clear t[o] against each monic run r (r[0] = 1) at offset o, in the
     order given, in place: t[o : o + len(r)] -= t[o] * r.  Returns {o: c}
@@ -194,27 +180,23 @@ def _faber_step(fam: list) -> list:
 
 def basis_family(ctx: PrimeContext, m_max: int, n: int):
     """Basis elements for pole orders 0..m_max, f_m known to n + m_max - m,
-    read from the shared store.  Each f_m there stays at the longest
-    precision asked of it, and only those shorter than asked are rebuilt."""
+    built from psi by one Faber step each."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    fam = [QSeries.one(n)]
     prec = n + m_max - 1  # of psi; f_m is known to prec - m + 1
-    ps = psi(ctx, prec) if m_max else None
-    for m in range(1, m_max + 1):
-        f = _longest(("f", ctx, m), prec - m + 1, lambda: ps if m == 1 else QSeries(
-            _faber_step([s.coeffs for s in fam]), -m, prec - m + 1))
-        fam.append(f.truncate(prec - m + 1))
-    return tuple(BasisElement(ctx, m, s) for m, s in enumerate(fam))
+    fam = [(1,), psi(ctx, prec).coeffs] if m_max else [(1,)]
+    while len(fam) <= m_max:
+        fam.append(_faber_step(fam))
+    return tuple(BasisElement(ctx, m, QSeries(f, -m, prec - m + 1 if m else n))
+                 for m, f in enumerate(fam))
 
 
 def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
-    to n + m_max - m, from the exact psi of the store reduced once.  Every
-    residue is below modulus, which fixes the binary Kronecker limb of the
-    whole family, so each f_k is packed once, and each step forms the
-    product less sum c_k x^(m-k) f_k on the packed values, unpacked and
-    reduced once."""
+    to n + m_max - m, from the exact psi reduced once.  Every residue is below
+    modulus, which fixes the binary Kronecker limb of the whole family, so
+    each f_k is packed once, and each step forms the product less
+    sum c_k x^(m-k) f_k on the packed values, unpacked and reduced once."""
     prec = n + m_max - 1
     ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
     fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from itertools import count, repeat
 
-from .basis import _residue_family, _up_precision, basis_family, express_in_phi, phi_powers
-from .eta import _eta_power, _longest
+from .basis import _residue_family, _up_precision, basis_family, express_in_phi
+from .eta import _eta_power, phi_powers
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
 from .series import PrecisionError, QSeries, _val_p_int, val_p
 
@@ -167,25 +167,25 @@ def eisenstein(weight: int, n: int) -> QSeries:
         factor, k = -504, 5
     else:
         raise ValueError("only weights 4 and 6 are supported")
+    if n < 0:
+        raise ValueError("precision must be nonnegative")
     sig = _sigma_list(n, k)
     coeffs = [1] + [factor * s for s in sig[1:]]
     return QSeries(coeffs, 0, n)
-
-
-def _build_j(n: int) -> QSeries:
-    # 1/Delta = q^-1 E^-24, by Miller's recurrence
-    return (eisenstein(4, n + 2) ** 3 * QSeries(_eta_power(-24, n + 2))).shift(-1)
 
 
 def j_series(n: int) -> QSeries:
     """The classical q-expansion q^{-1} + 744 + 196884 q + ..."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _longest("j", n, lambda: _build_j(n)).truncate(n)
+    # 1/Delta = q^-1 E^-24, by Miller's recurrence
+    return (eisenstein(4, n + 2) ** 3 * QSeries(_eta_power(-24, n + 2))).shift(-1).truncate(n)
 
 
 def j_series_alt(n: int) -> QSeries:
     """Independent construction route (weight-6 numerator), for cross-checks."""
+    if n < 0:
+        raise ValueError("precision must be nonnegative")
     e6 = eisenstein(6, n + 2)
     return ((e6**2 * QSeries(_eta_power(-24, n + 2))).shift(-1) + 1728).truncate(n)
 

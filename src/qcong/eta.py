@@ -4,8 +4,9 @@ The fractional q^{1/24} prefactor of eta always cancels in the quotients used
 here (the net q-exponent is the integer -1), so eta enters the exact path only
 through its stripped Euler product E = prod (1 - q^k), whose integral powers
 come from J. C. P. Miller's recurrence on E's pentagonal support: no Newton
-iteration runs here.  The one non-exact path is the numeric evaluation on the
-upper half-plane used for the cusp-relation check.
+iteration runs here.  The powers of phi are kept in the one store of the
+package, ``_kept``, read only by ``phi_powers``.  The one non-exact path is
+the numeric evaluation on the upper half-plane used for the cusp-relation check.
 """
 from __future__ import annotations
 
@@ -54,22 +55,6 @@ def _eta_power(a: int, n: int) -> list:
     return f
 
 
-_kept: dict = {}  # key -> the longest value built under it
-
-
-def _longest(key, n: int, build):
-    """The value kept under key, or build() kept in its place when the kept
-    one is not known to precision n.  Every per-level table (psi, phi, j,
-    the powers of phi, the basis family) is kept here by this one rule: a
-    shorter value is a truncation of a longer one, so only a request beyond
-    it builds again.  A builder returns every coefficient its inputs
-    determine, which may reach beyond n."""
-    out = _kept.get(key)
-    if out is None or out.prec < n:
-        out = _kept[key] = build()
-    return out
-
-
 def _build_psi(ctx: PrimeContext, n: int) -> QSeries:
     """psi to precision n, and beyond where its inputs determine it, as
     (E (1/E)(q^p))^lam: 1/E is Euler's partition recurrence, Miller's at
@@ -83,24 +68,46 @@ def psi(ctx: PrimeContext, n: int) -> QSeries:
     """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _longest(("psi", ctx), n, lambda: _build_psi(ctx, n)).truncate(n)
+    return _build_psi(ctx, n).truncate(n)
 
 
 def _build_phi(ctx: PrimeContext, n: int) -> QSeries:
     """phi = q E^(-lam) E(q^p)^lam from two recurrences and one product: it
-    builds neither psi nor a reciprocal.  It reaches n + 4, as 1/psi from psi
-    to n + 2 does, so that a request up to n + 4 reads it from the store."""
+    builds neither psi nor a reciprocal.  It reaches n + 4, so that a
+    request up to n + 4 reads it from the store."""
     t = n + 3
     ep = [0] * (t + 1)
     ep[:: ctx.p] = _eta_power(ctx.lam, t // ctx.p)
     return QSeries(mul_int_lists(_eta_power(-ctx.lam, t), ep, t + 1), 1)
 
 
-def phi(ctx: PrimeContext, n: int) -> QSeries:
-    """The reciprocal Hauptmodul q + O(q^2)."""
+# (ctx, i) -> phi^i, i >= 1, the longest built: one pass of each benchmark
+# workload read these back 696 times, and never psi, j or a basis element,
+# which are therefore built at each call.
+_kept: dict = {}
+
+
+def phi_powers(ctx: PrimeContext, k: int, n: int) -> tuple:
+    """phi^0 .. phi^k, each truncated at precision n, from the store.  Only a
+    power kept shorter than n is rebuilt: phi by ``_build_phi``, phi^i as
+    phi^(i-1) * phi with phi at n, known to n + i - 1, so that a later request
+    at n + j for the powers above phi^j, as ``PhiPolynomial.evaluate`` makes,
+    multiplies nothing.  A power whose valuation lies beyond n is zero there."""
     if n < 1:
         raise ValueError("precision must be at least 1")
-    return _longest(("phi", ctx), n, lambda: _build_phi(ctx, n)).truncate(n)
+    kept = [QSeries.one(n)]
+    for i in range(1, k + 1):
+        t = _kept.get((ctx, i))
+        if t is None or t.prec < n:
+            # phi^2 = phi * phi, the same operand, reaches the kernel as a square
+            t = _kept[ctx, i] = _build_phi(ctx, n) if i == 1 else kept[-1] * kept[1]
+        kept.append(t.truncate(n) if i == 1 else t)
+    return tuple(t.truncate(n) if t.val <= n else QSeries.zero(n) for t in kept[: k + 1])
+
+
+def phi(ctx: PrimeContext, n: int) -> QSeries:
+    """The reciprocal Hauptmodul q + O(q^2)."""
+    return phi_powers(ctx, 1, n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .basis import NotPolynomialError, PhiPolynomial, _up_precision, express_in_phi, phi_powers
-from .eta import phi
+from .basis import NotPolynomialError, PhiPolynomial, _up_precision, express_in_phi
+from .eta import phi, phi_powers
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
 from .series import PrecisionError, QSeries, val_p
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcong import basis, eta
+from qcong import eta
 from qcong.basis import (
     NotPolynomialError,
     PhiPolynomial,
@@ -11,9 +11,8 @@ from qcong.basis import (
     basis_element,
     basis_family,
     express_in_phi,
-    phi_powers,
 )
-from qcong.eta import phi, psi
+from qcong.eta import phi, phi_powers, psi
 from qcong.primes import PrimeContext
 from qcong.series import PrecisionError, QSeries
 
@@ -120,20 +119,6 @@ class TestFaberRecurrence:
                 assert fam[m].series.prec == (n if m == 0 else n + m_max - m)
                 assert fam[m].psi_poly == poly
 
-    def test_shorter_family_reads_the_grown_table(self, monkeypatch):
-        monkeypatch.setattr(eta, "_kept", {})
-        grown = basis_family(C2, 6, 40)  # psi precision 45
-
-        def no_faber_step(*args):
-            raise AssertionError("a shorter family took a new Faber step")
-
-        monkeypatch.setattr(basis, "_faber_step", no_faber_step)
-        for m_max, n in ((6, 40), (3, 30), (6, 27), (1, 0)):
-            fam = basis_family(C2, m_max, n)
-            for m in range(1, m_max + 1):
-                assert fam[m].series == grown[m].series.truncate(n + m_max - m)
-                assert fam[m].psi_poly == grown[m].psi_poly
-
 
 class TestPhiPowers:
     def test_table_matches_repeated_products(self):
@@ -166,10 +151,13 @@ class TestPhiPowers:
             assert len(table) == k + 1 and table[0] == QSeries.one(n)
             for i in range(1, k + 1):
                 assert table[i] == (phi(ctx, n) ** i).truncate(n)
-        # phi^i built at a request for n keeps the precision of its product
-        asked = [300] * 5 + [128] * 3 + [44] * 21
-        precs = [eta._kept["phi^", ctx, i].prec for i in range(29)]
-        assert precs == [n + max(i - 1, 0) for i, n in enumerate(asked)]
+        # phi is kept as built, to n + 4; phi^i, i >= 2, built at a request
+        # for n keeps the precision of its product, n + i - 1
+        assert set(eta._kept) == {(ctx, i) for i in range(1, 29)}
+        assert eta._kept[ctx, 1].prec == 304
+        asked = [300] * 3 + [128] * 3 + [44] * 21
+        precs = [eta._kept[ctx, i].prec for i in range(2, 29)]
+        assert precs == [n + i - 1 for i, n in enumerate(asked, start=2)]
 
     def test_shifted_request_multiplies_nothing(self, monkeypatch):
         # evaluate reads the table at n + j when phi^(j+1) is the lowest power;

@@ -17,7 +17,8 @@ from qcong.congruence import (
     verify_theorem2,
 )
 from qcong import basis, congruence, eta, series
-from qcong.basis import basis_element, basis_family, phi_powers
+from qcong.basis import basis_element, basis_family
+from qcong.eta import phi_powers
 from qcong.primes import PrimeContext
 from qcong.series import PrecisionError, agree, val_p
 
@@ -239,8 +240,7 @@ class TestResidueSweep:
         monkeypatch.setattr(basis, "psi", lambda ctx, n: 2 * psi(ctx, n))
         with pytest.raises(ArithmeticError, match="principal part"):
             verify_theorem2(PrimeContext(3), m_max=2, d_max=1, base_prec=64)
-        # the exact family takes the same guard, from a store that keeps no f_m
-        monkeypatch.setattr(eta, "_kept", {})
+        # the exact family takes the same guard
         with pytest.raises(ArithmeticError, match="principal part"):
             basis_family(PrimeContext(3), 2, 64)
 
@@ -267,23 +267,17 @@ class TestJSeries:
         assert j.coeff(1) == 196884
         assert j.coeff(2) == 21493760
 
-    def test_rejects_negative_precision(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            j_series(-1)
+    @pytest.mark.parametrize("build", [j_series, j_series_alt, lambda n: eisenstein(4, n)],
+                             ids=["j_series", "j_series_alt", "eisenstein"])
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_rejects_negative_precision(self, build, n):
+        # each route refuses bad input with one message, rather than return
+        # a short series that looks like a result
+        with pytest.raises(ValueError, match="precision must be nonnegative"):
+            build(n)
 
     def test_two_routes_agree(self):
         assert agree(j_series(200), j_series_alt(200))
-
-    def test_shorter_requests_read_the_kept_j(self, monkeypatch):
-        monkeypatch.setattr(eta, "_kept", {})
-        first = j_series(64)
-
-        def no_build(*args):
-            raise AssertionError("a request within the kept j built again")
-
-        monkeypatch.setattr(congruence, "_build_j", no_build)
-        assert j_series(64) == first
-        assert j_series(32) == first.truncate(32)
 
     def test_eisenstein_leading_terms(self):
         e4 = eisenstein(4, 3)
@@ -403,23 +397,21 @@ class TestDecomposeUpStep:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_pole_orders_share_one_psi_expansion(self, p, monkeypatch):
-        # from an empty store, each m asks for its family at the rule, f_m
-        # known to p (m + 8); the request grows with m, so each m builds
-        # f_1 .. f_m again from one psi, f_k known to p (m + 8) + m - k
-        monkeypatch.setattr(eta, "_kept", {})
+        # each m asks for its family at the rule, f_m known to p (m + 8), and
+        # builds f_1 .. f_m from one psi: one psi build, m - 1 Faber steps
+        built = []
+        for mod, name in ((eta, "_build_psi"), (basis, "_faber_step")):
+            monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name), name=name:
+                                built.append(name) or f(*a))
         asked = []
         family = congruence.basis_family
         monkeypatch.setattr(congruence, "basis_family",
                             lambda ctx, m, n: asked.append(n) or family(ctx, m, n))
-        ctx = PrimeContext(p)
         for m in range(1, 7):
-            decompose_up_step(ctx, m)
-            kept = [eta._kept[("f", ctx, k)].prec for k in range(1, m + 1)]
-            assert kept == [p * (m + 8) + m - k for k in range(1, m + 1)], m
+            built.clear()
+            decompose_up_step(PrimeContext(p), m)
+            assert built == ["_build_psi"] + ["_faber_step"] * (m - 1), m
         assert asked == [p * (m + 8) for m in range(1, 7)]
-        assert set(eta._kept) == {("psi", ctx), ("phi", ctx)} | {
-            (name, ctx, k) for name, ks in (("f", range(1, 7)), ("phi^", range(7))) for k in ks
-        }
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_small_orders_build_psi_at_the_rule(self, p, monkeypatch):

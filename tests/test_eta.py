@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcong import eta
+from qcong import basis, congruence, eta, hecke
 from qcong.eta import (
     _build_psi,
     _eta_power,
@@ -190,6 +190,31 @@ class TestPhi:
         for p in (2, 3, 5, 7):
             ph = phi(PrimeContext(p), 8)
             assert ph.val == 1 and ph.coeff(1) == 1
+
+
+def test_the_store_keeps_only_the_powers_of_phi(monkeypatch):
+    # the lattice benchmark's tasks at each prime, from an empty store: only
+    # phi^i, i >= 1, is kept, and psi, j and the basis are built at each call
+    monkeypatch.setattr(eta, "_kept", {})
+    for p in (2, 3, 5, 7):
+        ctx = PrimeContext(p)
+        hecke.derive_bj(ctx, 128)
+        hecke.verify_up_closure(ctx, trials=10, deg_max=4, seed=1)
+        for m in range(1, 7):
+            congruence.decompose_up_step(ctx, m)
+        hecke.verify_power_sum_divisibility(ctx, 2 * p)
+        hecke.verify_hpoly_relation(ctx, 128)
+    assert all(len(k) == 2 and type(k[0]) is PrimeContext and k[1] >= 1 for k in eta._kept)
+    assert {k[0].p for k in eta._kept} == {2, 3, 5, 7}
+    built = []
+    for mod, name in ((eta, "_build_psi"), (congruence, "eisenstein"), (basis, "_faber_step")):
+        monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name), name=name:
+                            built.append(name) or f(*a))
+    for _ in range(2):
+        psi(ctx, 64)
+        congruence.j_series(64)
+        basis.basis_family(ctx, 3, 64)
+    assert built == ["_build_psi", "eisenstein", "_build_psi", "_faber_step", "_faber_step"] * 2
 
 
 class TestEtaEval:

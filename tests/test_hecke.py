@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qcong import congruence, eta, hecke, series
-from qcong.basis import NotPolynomialError, PhiPolynomial, basis_element, express_in_phi, phi_powers
+from qcong.basis import NotPolynomialError, PhiPolynomial, basis_element, express_in_phi
 from qcong.hecke import (
     BJ_TABLE,
     ClosureTrial,
@@ -20,7 +20,7 @@ from qcong.hecke import (
     verify_up_closure,
 )
 from qcong.congruence import decompose_up_step
-from qcong.eta import phi
+from qcong.eta import phi, phi_powers
 from qcong.primes import PrimeContext
 from qcong.series import QSeries, agree
 
