@@ -14,18 +14,24 @@ refuses any other type (float, bool, Decimal, ...); ``coeffs``, ``coeff``,
 as a Fraction.  ``val_p`` takes O(log v) divisions for a long run.
 
 A product runs a truncated integer convolution of the numerators, which
-returns only the coefficients that the product's precision determines.  An
-operand X(q^t), zero off the multiples of t, splits it into t products, X
-times a residue class of the other operand, at the limb of the whole; each
-product takes one of three methods, by size and by the narrower width:
+returns only the coefficients that the product's precision determines.  The
+leading zeros of both operands are stripped and put back in front of the
+product.  An operand X(q^t), zero off the multiples of t, splits it into t
+products, X times a residue class of the other operand, at the limb of the
+whole; each product takes one of three methods, by size and by the narrower
+width:
 
 - schoolbook, for short products, over the pairs that reach a kept
   coefficient, and where a narrow operand meets a wide one;
 - binary Kronecker substitution at +2^n and -2^n, for longer products of
-  moderate size: pack the even- and the odd-indexed coefficients into byte
-  limbs of 2n bits, multiply twice at that half width (CPython's
-  Karatsuba), and unpack the even and the odd kept limbs from the sum and
-  the difference of the two products;
+  moderate size: pack the even- and the odd-indexed coefficients into
+  two's complement limbs of 2n bits, multiply twice at that half width
+  (CPython's Karatsuba), and unpack the even and the odd kept limbs from the
+  sum and the difference of the two products.  One XOR of a whole packed
+  value with the offset constant 2^(2n-1) per limb turns two's complement
+  limbs into nonnegative offset limbs, and back; a limb of at most 64 bits
+  is one 8-byte word, and a run of words is packed and unpacked by one
+  ``struct`` call, wider limbs one ``int.to_bytes``/``int.from_bytes`` each;
 - decimal Kronecker substitution, once the packed operand is large: limbs of
   10^k packed into ``decimal.Decimal`` values, whose multiply (libmpdec) is a
   number-theoretic transform, O(n log n) against Karatsuba's O(n^1.58).
@@ -43,6 +49,7 @@ from __future__ import annotations
 import decimal
 import math
 import operator
+import struct
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -119,11 +126,11 @@ def _school_mul(a, b, length=None):
 
 
 def _ks2_limb(bits):
-    """(nbytes, n, half, off_limb) of the packed format for a limb of `bits`:
-    limbs of nbytes whole bytes, 2n bits, each coefficient offset by half so
-    that its limb is nonnegative, and off_limb that offset as one limb."""
-    nbytes = (bits + 7) // 8
-    return nbytes, 4 * nbytes, 1 << (8 * nbytes - 1), b"\x00" * (nbytes - 1) + b"\x80"
+    """(nbytes, n, off_limb) of the packed format for a limb of `bits`: limbs
+    of nbytes whole bytes, one 8-byte word up to 64 bits, 2n bits each, and
+    off_limb the offset 2^(2n-1) as one limb."""
+    nbytes = 8 if bits <= 64 else (bits + 7) // 8
+    return nbytes, 4 * nbytes, b"\x00" * (nbytes - 1) + b"\x80"
 
 
 def _ks2_pack(coeffs, bits, m):
@@ -133,13 +140,19 @@ def _ks2_pack(coeffs, bits, m):
     packing serves every product and every combination it enters."""
     # two-point substitution (Harvey's KS2): evaluate at x = 2^n and x = -2^n,
     # n half the limb, so that each multiply of two packed values is half as
-    # wide; the even- and the odd-indexed coefficients go into limbs offset to
-    # be nonnegative: A(+-2^n) = A_even +- 2^n A_odd
-    nbytes, n, half, off_limb = _ks2_limb(bits)
-    limbs = [(c + half).to_bytes(nbytes, "little") for c in coeffs[:m]]
-    even, odd = [int.from_bytes(b"".join(h), "little")
-                 - int.from_bytes(off_limb * len(h), "little")
-                 for h in (limbs[0::2], limbs[1::2])]
+    # wide; the even- and the odd-indexed coefficients go into two's
+    # complement limbs, which one XOR with the offset turns into the
+    # nonnegative limbs c + 2^(2n-1): less the offset, A(+-2^n) = A_even +- 2^n A_odd
+    nbytes, n, off_limb = _ks2_limb(bits)
+    halves = []
+    for h in (coeffs[0:m:2], coeffs[1:m:2]):
+        if nbytes == 8:  # one struct call, its byte order fixed on any host
+            raw = struct.pack(f"<{len(h)}q", *h)
+        else:
+            raw = b"".join([c.to_bytes(nbytes, "little", signed=True) for c in h])
+        off = int.from_bytes(off_limb * len(h), "little")
+        halves.append((int.from_bytes(raw, "little") ^ off) - off)
+    even, odd = halves
     return even + (odd << n), even - (odd << n)
 
 
@@ -147,14 +160,18 @@ def _ks2_unpack(plus, minus, bits, m):
     """c_0 .. c_(m-1) of C from C(2^n) and C(-2^n), packed as by
     ``_ks2_pack``; every kept c_k must satisfy 4|c_k| < 2^bits, and C may have
     further coefficients of any size."""
-    nbytes, n, half, off_limb = _ks2_limb(bits)
+    nbytes, n, off_limb = _ks2_limb(bits)
 
     def limbs(packed, count):
-        # the limbs from `count` on only carry upward, so the low `count`
-        # limbs are exact however far the discarded coefficients overflow
-        raw = packed + int.from_bytes(off_limb * count, "little")
-        raw = (raw & ((1 << (2 * n * count)) - 1)).to_bytes(count * nbytes, "little")
-        return [int.from_bytes(raw[i : i + nbytes], "little") - half
+        # plus the offset, the low `count` limbs are c_k + 2^(2n-1), exact
+        # however far the discarded limbs above overflow, since carries only
+        # run upward; the XOR turns them back into two's complement limbs
+        off = int.from_bytes(off_limb * count, "little")
+        raw = ((packed + off) & ((1 << (2 * n * count)) - 1)) ^ off
+        raw = raw.to_bytes(count * nbytes, "little")
+        if nbytes == 8:
+            return struct.unpack(f"<{count}q", raw)
+        return [int.from_bytes(raw[i : i + nbytes], "little", signed=True)
                 for i in range(0, len(raw), nbytes)]
 
     # exact identities:  C(2^n) + C(-2^n) = 2 sum c_2k 2^(2nk) and
@@ -266,8 +283,9 @@ def _limb_bits(a, b, length):
     upward, and no method reads a limb from `length` on.  When every a_i and
     b_j below `length` meets a nonzero coefficient of the other operand in a
     kept c_k, each of them fits the limb too, being less than 2^(top-1)."""
-    bits_a = [c.bit_length() for c in a[:length]]
-    pb = list(accumulate(bits_a if b is a else [c.bit_length() for c in b[:length]], max))
+    bits_a = list(map(int.bit_length, a[:length]))
+    # B_j as the bit length of |b_0| | .. | |b_j|: one C-level pass each, faster than max
+    pb = list(map(int.bit_length, accumulate(map(abs, b[:length]), operator.or_)))
     na, nb = len(bits_a), len(pb)
     # j(i) = len(b)-1 while i < length - len(b), and length-1-i from there on
     split = min(max(length - nb, 0), na)
@@ -288,28 +306,33 @@ def _dilation(x):
 def _kronecker_mul(a, b, length=None):
     if length is None:
         length = len(a) + len(b) - 1
-    # a_i reaches a kept c_k only through a nonzero b_j with j < length - i:
-    # drop the coefficients that reach none, which the limb need not hold
+    # strip the leading zeros of both operands, to put fa + fb zeros in front
+    # of the product; a_i then reaches a kept c_k only through a nonzero b_j
+    # with j < length - i: drop the coefficients that reach none, which the
+    # limb need not hold
     fa = next((i for i, c in enumerate(a) if c), len(a))
     fb = fa if b is a else next((i for i, c in enumerate(b) if c), len(b))
-    if fa + fb >= length:
+    zeros = fa + fb
+    if zeros >= length or fa == len(a) or fb == len(b):
         return [0] * length
     square = b is a
-    a = a[: length - fb]
-    b = a if square else b[: length - fa]
+    a = a[fa : length - fb]
+    b = a if square else b[fb : length - fa]
+    length -= zeros
     bits, narrow = _limb_bits(a, b, length)
     t = _dilation(a)
     if t == 1 and not square and (t := _dilation(b)) > 1:
         a, b = b, a
     if t == 1:
-        return _by_shape(a, b, bits, narrow, length)
+        out = _by_shape(a, b, bits, narrow, length)
+        return [0] * zeros + out if zeros else out
     # a = X(q^t): class r of the product, c_r, c_(r+t), ..., is X times b_r, b_(r+t), ...,
     # within the limb as kept c_k; an all-zero class is skipped (a square has class 0 alone)
     x, kept = a[::t], []
-    out = [0] * length
+    out = [0] * (zeros + length)
     for r, y in enumerate([x] if square else [b[r::t] for r in range(t)]):
         if any(y):
-            out[r::t] = _by_shape(x, y, bits, narrow, len(range(r, length, t)), kept)
+            out[zeros + r :: t] = _by_shape(x, y, bits, narrow, len(range(r, length, t)), kept)
     return out
 
 
@@ -452,9 +475,6 @@ class QSeries:
         for i, c in enumerate(self.coeffs):
             if c:
                 yield self.val + i, c
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):

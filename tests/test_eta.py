@@ -272,7 +272,7 @@ class TestCuspRelation:
 def test_exploratory_level_13():
     ctx = PrimeContext(13, exploratory=True)
     s = psi(ctx, 8)
-    assert s.val == -1 and s.is_integral()
+    assert s.val == -1 and s.den == 1
     with pytest.raises(ValueError):
         ctx.gamma(2)
     with pytest.raises(ValueError):

@@ -22,6 +22,10 @@ from qcong.series import (
     _binary_kronecker,
     _decimal_kronecker,
     _kronecker_mul,
+    _ks2_limb,
+    _ks2_mul_sub,
+    _ks2_pack,
+    _ks2_unpack,
     _limb_bits,
     _school_mul,
     agree,
@@ -41,16 +45,18 @@ def _limb_digits(a, b):
 
 
 class _Calls(list):
-    packs = 0
+    def __init__(self):
+        super().__init__()
+        self.packed = []
 
     def clear(self):
         super().clear()
-        self.packs = 0
+        self.packed.clear()
 
 
 def _spy_methods(monkeypatch):
-    """The names of the product methods called, in order, and the count of
-    operands packed for the binary radix."""
+    """The names of the product methods called, in order, and in `packed` the
+    coefficient runs packed for the binary radix."""
     calls = _Calls()
     for name in ("_school_mul", "_binary_kronecker", "_decimal_kronecker"):
         method = getattr(qcong.series, name)
@@ -62,9 +68,9 @@ def _spy_methods(monkeypatch):
         monkeypatch.setattr(qcong.series, name, spy)
     pack = qcong.series._ks2_pack
 
-    def counted(*args):
-        calls.packs += 1
-        return pack(*args)
+    def counted(coeffs, bits, m):
+        calls.packed.append(list(coeffs[:m]))
+        return pack(coeffs, bits, m)
 
     monkeypatch.setattr(qcong.series, "_ks2_pack", counted)
     return calls
@@ -156,7 +162,7 @@ def _assert_canonical(s):
     # int exactly where it is integral
     assert type(s.den) is int and s.den >= 1 and math.gcd(s.den, *s.num) == 1
     assert all(type(x) is int for x in s.num) and (s.is_zero() or s.num[0] != 0)
-    assert s.is_integral() == (s.den == 1) and (s.den == 1 or s.num)
+    assert s.den == 1 or s.num
     for x, c in zip(s.num, s.coeffs):
         assert c == Fraction(x, s.den)
         assert type(c) is (int if x % s.den == 0 else Fraction)
@@ -607,7 +613,7 @@ class TestKroneckerKernel:
             assert product == _school_mul(a, b, length)
         calls.clear()
         mul_int_lists(long[:300], dilated)
-        assert calls.packs == 4  # three classes of long[:300], X once
+        assert len(calls.packed) == 4  # three classes of long[:300], X once
 
     def test_shape_reads_match_schoolbook(self, monkeypatch):
         calls = _spy_methods(monkeypatch)
@@ -802,6 +808,119 @@ class TestKroneckerKernel:
         b = [0] * 41 + [5] * 40
         assert _kronecker_mul(a, b, 81) == _school_mul(a, b)[:81]
         assert limbs == [_limb_bits(a[:40], b, 81)[0]] and limbs[0] < 32
+
+    # The binary limbs are two's complement, offset by one XOR of the whole
+    # packed value; a limb of at most 64 bits is one 8-byte word.
+
+    @pytest.mark.parametrize("bits", [64, 65])
+    def test_packed_round_trip_at_the_limb_bound(self, bits):
+        assert _ks2_limb(bits)[0] == (8 if bits == 64 else 9)
+        top = 2 ** (bits - 2) - 1  # the largest |c| with 4|c| < 2^bits
+        rng = random.Random(bits)
+        runs = [[top] * 9, [-top] * 9, [(-1) ** k * top for k in range(9)],
+                [-top, 0, 0, top, 0, -1, 1], [0] * 5 + [-top],
+                [rng.randint(-top, top) for _ in range(40)]]
+        for run in runs:
+            for m in {1, 2, len(run) - 1, len(run)}:
+                assert _ks2_unpack(*_ks2_pack(run, bits, m), bits, m) == run[:m]
+
+    @pytest.mark.parametrize("bits", [20, 64, 65, 200])
+    def test_unpack_reads_past_overflowing_and_negative_values(self, bits):
+        # C's coefficients from m on overflow their limbs, either sign, so
+        # C(2^n) and C(-2^n) may be negative; the kept ones read back exactly
+        n = _ks2_limb(bits)[1]
+        top = 2 ** (bits - 2) - 1
+        rng = random.Random(bits)
+        for m in (1, 6, 7):
+            kept = [rng.randint(-top, top) for _ in range(m)]
+            for tail in ([-(2 ** (3 * bits))], [2 ** (2 * bits), -(2 ** (5 * bits))],
+                         [-top - 1] * 3, []):
+                c = kept + tail
+                plus = sum(x << (n * k) for k, x in enumerate(c))
+                minus = sum((-x if k % 2 else x) << (n * k) for k, x in enumerate(c))
+                assert _ks2_unpack(plus, minus, bits, m) == kept
+            negative = [-top] * m
+            plus = sum(x << (n * k) for k, x in enumerate(negative))
+            assert plus < 0
+            assert _ks2_unpack(*_ks2_pack(negative, bits, m), bits, m) == negative
+
+    def test_one_word_squares_classes_and_combinations(self, monkeypatch):
+        calls = _spy_methods(monkeypatch)
+        rng = random.Random(25)
+        # squares at a limb of one word, full and truncated
+        a = [rng.randint(-(2**25), 2**25) for _ in range(120)]
+        for length in (None, 60, 61, 239):
+            bits = _limb_bits(a, a, length or 239)[0]
+            assert bits <= 64
+            assert _binary_kronecker(a, a, bits, length) == _school_mul(a, a, length)
+        # a dilated operand: one class product per residue class, each in words
+        x = [rng.randint(-(2**20), 2**20) or 1 for _ in range(60)]
+        d = [0] * 178
+        d[::3] = x
+        y = [rng.randint(-(2**20), 2**20) for _ in range(200)]
+        for length in (None, 150):
+            calls.clear()
+            assert mul_int_lists(d, y, length) == _school_mul(d, y, length)
+            assert calls == ["_binary_kronecker"] * 3
+            assert _limb_bits(d, y, length or 377)[0] <= 64
+        # a product less clearing terms c x^s F, as the residue family forms it
+        modulus, size = 2**20, 200
+        bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+        assert bits <= 64
+        f = [rng.randrange(modulus) for _ in range(size)]
+        g = [rng.randrange(modulus) for _ in range(size)]
+        pf, pg = _ks2_pack(f, bits, size), _ks2_pack(g, bits, size)
+        for b, pb in ((f, pf), (g, pg)):
+            terms = [(rng.randrange(modulus), s, pg) for s in (1, 2, 5, 11)]
+            want = _school_mul(f, b, size)
+            for c, shift, _ in terms:
+                want[shift:] = [w - c * v for w, v in zip(want[shift:], g)]
+            assert _ks2_mul_sub(pf, pb, terms, bits, size) == want
+
+    def test_leading_zeros_are_stripped_for_every_method(self, monkeypatch):
+        calls = _spy_methods(monkeypatch)
+        seen = []
+        for name in ("_school_mul", "_binary_kronecker", "_decimal_kronecker"):
+            spied = getattr(qcong.series, name)
+
+            def first(a, b, *args, _spied=spied):
+                seen.append((a[0], b[0]))
+                return _spied(a, b, *args)
+
+            monkeypatch.setattr(qcong.series, name, first)
+        rng = random.Random(26)
+        # 20 terms take the schoolbook, 100 of 30 bits the binary radix, and
+        # 300 of 400 bits the decimal one
+        for n, bits, method in ((20, 30, "_school_mul"), (100, 30, "_binary_kronecker"),
+                                (300, 400, "_decimal_kronecker")):
+            a = [rng.randint(-(2**bits), 2**bits) or 1 for _ in range(n)]
+            b = [rng.randint(-(2**bits), 2**bits) or 1 for _ in range(n)]
+            for za, zb in ((3, 0), (0, 5), (3, 5), (40, 40)):
+                x, y = [0] * za + a, [0] * zb + b
+                full = _school_mul(x, y)
+                for length in (None, za + zb, za + zb + 1, len(full) - 7):
+                    calls.clear()
+                    seen.clear()
+                    want = full if length is None else full[:length]
+                    assert _kronecker_mul(x, y, length) == want
+                    short = {za + zb: [], za + zb + 1: ["_school_mul"]}  # 0 or 1 kept
+                    assert calls == short.get(length, [method])
+                    assert all(p and q for p, q in seen)
+                calls.clear()
+                assert _kronecker_mul(x, x, None) == _school_mul(x, x)
+                assert calls == [method] and all(p and q for p, q in seen)
+
+    def test_invert_packs_only_the_nonzero_run(self, monkeypatch):
+        # Newton's correction X (U X - s) at step t -> 2t: U X - s starts at
+        # q^t, and only its t nonzero terms are packed
+        calls = _spy_methods(monkeypatch)
+        rng = random.Random(27)
+        u = QSeries([1] + [rng.randint(-99, 99) for _ in range(127)])
+        inverse = u.invert()
+        assert (u * inverse).num == (1,) + (0,) * 127
+        assert calls.packed and all(run[0] for run in calls.packed)
+        # the last step, t = 64: U X packs U and X, the correction X and the run
+        assert sorted(map(len, calls.packed[-4:])) == [64, 64, 64, 128]
 
     def test_truncated_rational_product(self):
         # polynomials known to q^(length-1): their product is known there too
