@@ -6,21 +6,22 @@ cleared greedily against f_(m-1), ..., f_1, each of which has the single pole
 term q^{-k}, so the reduction is triangular and never needs a linear solve.
 That reduction is ``_clear``, in place on one int list, and writing a series
 in phi is the same reduction against 1, phi, ..., phi^D from q^0.
-Both families are built here: the exact one (``basis_family``) takes the
-step on int lists, and the residues mod p^K that the divisibility sweep reads
-(``_residue_family``) take it on values packed for the binary Kronecker
-kernel, each f_k packed once: the multipliers come from the first m
-coefficients, and the product less the cleared principal part is formed on
-the packed values and unpacked once.  The polynomial in psi that f_m is
-comes on demand from the Lagrange-Faber formula.  Both families are built at
-each call, and the powers of phi are read from the store of ``eta``.  The
-precision that writing U_p of a series in phi needs is stated once, by
-``_up_precision``.
+Both families are built here: the exact one (``basis_family``) takes the step
+on int lists from the exact psi, and the residues mod p^K that the divisibility
+sweep reads (``_residue_family``) start from psi's two eta factors multiplied
+mod p^K and take it on values packed for the binary Kronecker kernel, each f_k
+packed once: the multipliers come from the first m coefficients, and the product
+less the cleared principal part is formed on the packed values and unpacked
+once.  f_m as a polynomial in psi comes on demand from the Lagrange-Faber
+formula.  Both families are built at each call, and the powers of phi are read
+from the store of ``eta``.  The precision that writing U_p of a series in phi
+needs is stated once, by ``_up_precision``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import eta  # eta._psi_factors, looked up per call: one substitute reaches both families
 from .eta import phi_powers, psi
 from .primes import PrimeContext
 from .series import PrecisionError, QSeries, _ks2_mul_sub, _ks2_pack, _school_mul, mul_int_lists
@@ -192,15 +193,18 @@ def basis_family(ctx: PrimeContext, m_max: int, n: int):
 
 
 def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
-    """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known
-    to n + m_max - m, from the exact psi reduced once.  Every residue is below
-    modulus, which fixes the binary Kronecker limb of the whole family, so
-    each f_k is packed once, and each step forms the product less
-    sum c_k x^(m-k) f_k on the packed values, unpacked and reduced once."""
-    prec = n + m_max - 1
-    ps = [c % modulus for c in psi(ctx, prec).coeffs]  # q^-1 .. q^prec
-    fam = [[1], ps]  # fam[m] holds q^-m .. q^(prec-m+1)
-    size = len(ps)
+    """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known to
+    n + m_max - m, from psi's two eta factors as balanced residues, multiplied once:
+    exact psi is never built.  Every residue is below modulus, which fixes the binary
+    Kronecker limb of the whole family, so each f_k is packed once, and each step forms
+    the product less sum c_k x^(m-k) f_k on the packed values, unpacked and reduced once."""
+    prec, h = n + m_max - 1, modulus // 2
+    size = prec + 2  # q^-1 .. q^prec
+    a, b = eta._psi_factors(ctx, prec)
+    a = [(c + h) % modulus - h for c in a]  # each exact factor is dropped once reduced
+    b = [(c + h) % modulus - h for c in b]
+    fam = [[1], [c % modulus for c in mul_int_lists(a, b, size)]]  # fam[m]: q^-m .. q^(prec-m+1)
+    del a, b
     # a kept coefficient of a b - sum c_k x^(m-k) f_k, every operand a
     # residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2
     bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2

@@ -2,11 +2,12 @@
 
 The fractional q^{1/24} prefactor of eta always cancels in the quotients used
 here (the net q-exponent is the integer -1), so eta enters the exact path only
-through its stripped Euler product E = prod (1 - q^k), whose integral powers
-come from J. C. P. Miller's recurrence on E's pentagonal support: no Newton
-iteration runs here.  The powers of phi are kept in the one store of the
-package, ``_kept``, read only by ``phi_powers``.  The one non-exact path is
-the numeric evaluation on the upper half-plane used for the cusp-relation check.
+through E = prod (1 - q^k), with no Newton iteration: E^-a by J. C. P. Miller's
+recurrence on E's pentagonal support, E^lam as one product of two sparse
+supports, E's and Jacobi's cube E^3, squared, and psi from ``_psi_factors``,
+E^lam and E^-lam(q^p).  The powers of phi are kept in the one store ``_kept``,
+read only by ``phi_powers``.  The one non-exact path is the numeric evaluation
+on the upper half-plane used for the cusp-relation check.
 """
 from __future__ import annotations
 
@@ -55,29 +56,54 @@ def _eta_power(a: int, n: int) -> list:
     return f
 
 
-def _build_psi(ctx: PrimeContext, n: int) -> QSeries:
-    """psi to precision n, and beyond where its inputs determine it, as
-    (E (1/E)(q^p))^lam: 1/E is Euler's partition recurrence, Miller's at
-    a = -1, on the t/p + 1 terms of E, not on the t terms of E(q^p)."""
-    t = n + 2
-    ep_inv = QSeries(_eta_power(-1, t // ctx.p + 1)).dilate(ctx.p)
-    return ((euler_product(t) * ep_inv) ** ctx.lam).shift(-1)
+def _jacobi_cube(n: int):
+    """(g, c) for each nonzero coefficient c q^g of E^3 with g <= n, g ascending: the
+    triangular numbers k (k + 1) / 2, c = (-1)^k (2k + 1) (Jacobi; Hardy and Wright, Thm 357)."""
+    k = 0
+    while (g := k * (k + 1) // 2) <= n:
+        yield g, (-1) ** k * (2 * k + 1)
+        k += 1
+
+
+def _euler_power(a: int, n: int) -> list:
+    """E^a to q^n as n + 1 ints, a = r 2^s: E^r = E E, E^3 E or E^3 E^3 is one product of two
+    sparse supports, E's and Jacobi's cube, then squared s times.  a is some lam, or KeyError."""
+    r, s = {2: (2, 0), 4: (4, 0), 6: (6, 0), 12: (6, 1), 24: (6, 2)}[a]
+    e, cube = [(0, 1), *_pentagonal(n)], list(_jacobi_cube(n))
+    f = [0] * (n + 1)
+    for g, c in cube if r > 2 else e:
+        for h, d in cube if r == 6 else e:
+            if g + h > n:
+                break
+            f[g + h] += c * d
+    for _ in range(s):
+        f = mul_int_lists(f, f, n + 1)
+    return f
+
+
+def _psi_factors(ctx: PrimeContext, n: int) -> tuple:
+    """E^lam and E^-lam(q^p) to q^t, t = n + 1, whose product is q psi to q^t: the second is
+    Miller's recurrence on the t/p + 1 terms of E, not on the t + 1 of E(q^p)."""
+    t = n + 1
+    ep = [0] * (t + 1)
+    ep[:: ctx.p] = _eta_power(-ctx.lam, t // ctx.p)
+    return _euler_power(ctx.lam, t), ep
 
 
 def psi(ctx: PrimeContext, n: int) -> QSeries:
-    """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam."""
+    """The Hauptmodul q^{-1} + O(1): (eta(tau)/eta(p tau))^lam, from ``_psi_factors``."""
     if n < 0:
         raise ValueError("precision must be nonnegative")
-    return _build_psi(ctx, n).truncate(n)
+    return QSeries(mul_int_lists(*_psi_factors(ctx, n), n + 2), -1)
 
 
 def _build_phi(ctx: PrimeContext, n: int) -> QSeries:
-    """phi = q E^(-lam) E(q^p)^lam from two recurrences and one product: it
-    builds neither psi nor a reciprocal.  It reaches n + 4, so that a
+    """phi = q E^(-lam) E(q^p)^lam from Miller's recurrence, ``_euler_power`` and
+    one product: it builds neither psi nor a reciprocal.  It reaches n + 4, so that a
     request up to n + 4 reads it from the store."""
     t = n + 3
     ep = [0] * (t + 1)
-    ep[:: ctx.p] = _eta_power(ctx.lam, t // ctx.p)
+    ep[:: ctx.p] = _euler_power(ctx.lam, t // ctx.p)
     return QSeries(mul_int_lists(_eta_power(-ctx.lam, t), ep, t + 1), 1)
 
 

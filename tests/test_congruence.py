@@ -29,7 +29,7 @@ def test_exploratory_p13_raises_before_building_psi(monkeypatch):
         raise AssertionError("psi was built")
 
     monkeypatch.setattr(eta, "_kept", {})
-    monkeypatch.setattr(eta, "_build_psi", no_psi)
+    monkeypatch.setattr(eta, "_psi_factors", no_psi)  # both families start from these
     ctx = PrimeContext(13, exploratory=True)
     for call in (lambda: bound(ctx, 1), lambda: verify_theorem2(ctx, 2, 1, base_prec=64)):
         with pytest.raises(ValueError, match="bound is not defined for p=13"):
@@ -103,12 +103,13 @@ class TestTheorem2:
 
     def test_rejects_n_max_before_building_psi(self, monkeypatch):
         # each block's precision is known from base_prec alone, so too large
-        # an n_max fails before psi or any basis element is built
+        # an n_max fails before psi's factors, which the exact psi and the
+        # residue family both start from, or any basis element is built
         def build(*args):
             raise AssertionError("psi built")
 
         monkeypatch.setattr(eta, "_kept", {})
-        monkeypatch.setattr(eta, "_build_psi", build)
+        monkeypatch.setattr(eta, "_psi_factors", build)
         with pytest.raises(PrecisionError, match=r"m=1, beta=2 only to n=2 < n_max=10"):
             verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10, base_prec=128)
         # at p = 2 the first short block is m = 8, beta = 6: (4096 + 4) // 2^6
@@ -235,9 +236,15 @@ class TestResidueSweep:
         assert max(abs(c.value) for c in report.failures) >= 2**64
 
     def test_a_wrong_leading_residue_raises(self, monkeypatch):
-        # basis builds both families from its own psi
-        psi = basis.psi
-        monkeypatch.setattr(basis, "psi", lambda ctx, n: 2 * psi(ctx, n))
+        # both families start from psi's two factors: doubling the first
+        # doubles psi, exact or mod p^K
+        factors = eta._psi_factors
+
+        def doubled(ctx, n):
+            a, b = factors(ctx, n)
+            return [2 * c for c in a], b
+
+        monkeypatch.setattr(eta, "_psi_factors", doubled)
         with pytest.raises(ArithmeticError, match="principal part"):
             verify_theorem2(PrimeContext(3), m_max=2, d_max=1, base_prec=64)
         # the exact family takes the same guard
@@ -400,7 +407,7 @@ class TestDecomposeUpStep:
         # each m asks for its family at the rule, f_m known to p (m + 8), and
         # builds f_1 .. f_m from one psi: one psi build, m - 1 Faber steps
         built = []
-        for mod, name in ((eta, "_build_psi"), (basis, "_faber_step")):
+        for mod, name in ((eta, "_psi_factors"), (basis, "_faber_step")):
             monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name), name=name:
                                 built.append(name) or f(*a))
         asked = []
@@ -410,7 +417,7 @@ class TestDecomposeUpStep:
         for m in range(1, 7):
             built.clear()
             decompose_up_step(PrimeContext(p), m)
-            assert built == ["_build_psi"] + ["_faber_step"] * (m - 1), m
+            assert built == ["_psi_factors"] + ["_faber_step"] * (m - 1), m
         assert asked == [p * (m + 8) for m in range(1, 7)]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -419,8 +426,8 @@ class TestDecomposeUpStep:
         # f_1's precision in a family whose f_m is known to p (m + 8), and no more
         monkeypatch.setattr(eta, "_kept", {})
         asked = []
-        build = eta._build_psi
-        monkeypatch.setattr(eta, "_build_psi", lambda ctx, n: asked.append(n) or build(ctx, n))
+        build = eta._psi_factors
+        monkeypatch.setattr(eta, "_psi_factors", lambda ctx, n: asked.append(n) or build(ctx, n))
         for m in range(1, 7):
             decompose_up_step(PrimeContext(p), m)
         assert asked == [p * (m + 8) + m - 1 for m in range(1, 7)]

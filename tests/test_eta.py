@@ -6,8 +6,9 @@ import pytest
 
 from qcong import basis, congruence, eta, hecke
 from qcong.eta import (
-    _build_psi,
     _eta_power,
+    _euler_power,
+    _jacobi_cube,
     check_cusp_relation,
     eta_eval,
     euler_product,
@@ -46,12 +47,29 @@ ACCEPTANCE_N = {2: 4119, 3: 2071, 5: 2071, 7: 2071}
 
 
 def all_miller_psi(ctx, n):
-    """The reference route for psi: q^-1 E^lam (E^-lam)(q^p), from two
+    """A reference route for psi: q^-1 E^lam (E^-lam)(q^p), from two
     recurrences and one product."""
     t = n + 1
     ep = [0] * (t + 1)
     ep[:: ctx.p] = _eta_power(-ctx.lam, t // ctx.p)
     return QSeries(mul_int_lists(_eta_power(ctx.lam, t), ep, t + 1), -1)
+
+
+def power_psi(ctx, n):
+    """A second reference route for psi: q^-1 (E (1/E)(q^p))^lam, where 1/E
+    is Euler's partition recurrence on the t/p + 1 terms of E and the power
+    is taken by repeated squaring of one series."""
+    t = n + 2
+    ep_inv = QSeries(_eta_power(-1, t // ctx.p + 1)).dilate(ctx.p)
+    return ((euler_product(t) * ep_inv) ** ctx.lam).shift(-1).truncate(n)
+
+
+def context(p):
+    return PrimeContext(p, exploratory=p == 13)
+
+
+# psi's reference checks: acceptance-04's sizes, and p = 13's lam = 2 at a like size
+ROUTE_N = {**ACCEPTANCE_N, 13: 2071}
 
 
 @pytest.mark.parametrize(
@@ -106,13 +124,42 @@ class TestEtaPower:
         with pytest.raises(ArithmeticError, match="division by 1 is not exact"):
             _eta_power(Fraction(1, 2), 4)
 
+    @pytest.mark.parametrize("a", [2, 4, 6, 12, 24])
+    def test_the_sparse_route_matches_the_recurrence(self, a):
+        for n in (0, 1, 2, 3, 10, 300):
+            assert _euler_power(a, n) == _eta_power(a, n), n
+
+    def test_the_sparse_route_takes_only_the_levels_lam(self):
+        with pytest.raises(KeyError):
+            _euler_power(3, 10)
+
+    def test_jacobi_cube_is_the_cube_of_the_euler_product(self):
+        for n in (0, 1, 2, 3, 10, 120):
+            cube = [0] * (n + 1)
+            for g, c in _jacobi_cube(n):
+                cube[g] = c
+            assert QSeries(cube, 0, n) == brute_euler(n) ** 3, n
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_flipped_triangular_sign_is_caught(self, p, monkeypatch):
+        # E^3's sign at q^10 = q^(4 * 5 / 2) flipped: psi and phi then both
+        # carry a wrong E^lam, which their product and both references see
+        cube = eta._jacobi_cube
+        monkeypatch.setattr(eta, "_kept", {})
+        monkeypatch.setattr(eta, "_jacobi_cube",
+                            lambda n: [(g, -c if g == 10 else c) for g, c in cube(n)])
+        ctx, n = PrimeContext(p), 128
+        ps = psi(ctx, n)
+        assert ps * phi(ctx, n + 2) != QSeries.one(n + 1)
+        assert ps != all_miller_psi(ctx, n) and ps != power_psi(ctx, n)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a_changed_pentagonal_sign_is_caught(self, p, monkeypatch):
-        # the recurrence reads a wrong sign at q^12 while E itself stays right:
-        # psi then carries E / E', which phi does not cancel
+        # Miller's recurrence, and the sparse E^lam where it reads E, see E' with
+        # a wrong sign at q^12: psi phi then carries powers of E / E' at q and
+        # at q^p, which do not cancel
         pentagonal = eta._pentagonal
         monkeypatch.setattr(eta, "_kept", {})
-        monkeypatch.setattr(eta, "euler_product", brute_euler)
         monkeypatch.setattr(
             eta, "_pentagonal", lambda n: ((g, -e if g == 12 else e) for g, e in pentagonal(n))
         )
@@ -138,21 +185,28 @@ class TestPsi:
     def test_lambda_values(self):
         assert [PrimeContext(p).lam for p in (2, 3, 5, 7)] == [24, 12, 6, 4]
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_matches_the_all_miller_route(self, p):
-        ctx = PrimeContext(p)
-        for n in (791, ACCEPTANCE_N[p]):
+        ctx = context(p)
+        for n in (791, ROUTE_N[p]):
             assert psi(ctx, n) == all_miller_psi(ctx, n), n
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_matches_the_power_route(self, p):
+        ctx = context(p)
+        for n in (791, ROUTE_N[p]):
+            assert psi(ctx, n) == power_psi(ctx, n), n
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_short_inverse_matches_the_dense_one(self, p):
-        # reference: invert E(q^p) as a dense series of t terms
+        # reference: invert E(q^p) as a dense series of t terms, where psi's
+        # E^-lam(q^p) takes the recurrence on t/p + 1 terms
         ctx = PrimeContext(p)
         for n in (0, 1, p, 97, 300):
             t = n + 2
             e = euler_product(t)
             dense = ((e * euler_product(t // p + 1).dilate(p).invert()) ** ctx.lam).shift(-1)
-            assert _build_psi(ctx, n) == dense, n
+            assert psi(ctx, n) == dense.truncate(n), n
 
 
 class TestPhi:
@@ -180,7 +234,7 @@ class TestPhi:
             raise AssertionError("psi was built")
 
         monkeypatch.setattr(eta, "_kept", {})
-        monkeypatch.setattr(eta, "_build_psi", no_psi)
+        monkeypatch.setattr(eta, "_psi_factors", no_psi)
         for p in (2, 3, 5, 7):
             ph = phi(PrimeContext(p), 256)
             assert (ph.val, ph.prec, ph.coeff(1)) == (1, 256, 1)
@@ -207,14 +261,15 @@ def test_the_store_keeps_only_the_powers_of_phi(monkeypatch):
     assert all(len(k) == 2 and type(k[0]) is PrimeContext and k[1] >= 1 for k in eta._kept)
     assert {k[0].p for k in eta._kept} == {2, 3, 5, 7}
     built = []
-    for mod, name in ((eta, "_build_psi"), (congruence, "eisenstein"), (basis, "_faber_step")):
+    for mod, name in ((eta, "_psi_factors"), (congruence, "eisenstein"), (basis, "_faber_step")):
         monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name), name=name:
                             built.append(name) or f(*a))
     for _ in range(2):
         psi(ctx, 64)
         congruence.j_series(64)
         basis.basis_family(ctx, 3, 64)
-    assert built == ["_build_psi", "eisenstein", "_build_psi", "_faber_step", "_faber_step"] * 2
+    once = ["_psi_factors", "eisenstein", "_psi_factors", "_faber_step", "_faber_step"]
+    assert built == once * 2
 
 
 class TestEtaEval:

@@ -31,7 +31,7 @@ def test_exploratory_p13_raises_before_building_psi(monkeypatch):
         raise AssertionError("psi was built")
 
     monkeypatch.setattr(eta, "_kept", {})
-    monkeypatch.setattr(eta, "_build_psi", no_psi)
+    monkeypatch.setattr(eta, "_psi_factors", no_psi)
     ctx = PrimeContext(13, exploratory=True)
     for call in (lambda: power_sum_target(ctx, 1), lambda: verify_power_sum_divisibility(ctx, 2)):
         with pytest.raises(ValueError, match="power_sum_target is not defined for p=13"):
