@@ -1,21 +1,24 @@
 """The canonical pole-order basis and polynomial extraction in phi.
 
-Basis elements q^{-m} + O(1) are built by one Faber step: an even f_m starts
-from f_(m/2)^2, an odd one from psi f_(m-1), and the principal part is
-cleared greedily against f_(m-1), ..., f_1, each of which has the single pole
-term q^{-k}, so the reduction is triangular and never needs a linear solve.
+Basis elements q^{-m} + O(1) are built by one Faber step: f_m starts from a
+product f_i f_j with i + j = m, and the principal part is cleared greedily
+against f_(m-1), ..., f_1, each of which has the single pole term q^{-k}, so
+the reduction is triangular and never needs a linear solve.
 That reduction is ``_clear``, in place on one int list, and writing a series
 in phi is the same reduction against 1, phi, ..., phi^D from q^0.
 Both families are built here: the exact one (``basis_family``) takes the step
-on int lists from the exact psi, and the residues mod p^K that the divisibility
-sweep reads (``_residue_family``) start from psi's two eta factors multiplied
-mod p^K and take it on values packed for the binary Kronecker kernel, each f_k
-packed once: the multipliers come from the first m coefficients, and the product
-less the cleared principal part is formed on the packed values and unpacked
-once.  f_m as a polynomial in psi comes on demand from the Lagrange-Faber
-formula.  Both families are built at each call, and the powers of phi are read
-from the store of ``eta``.  The precision that writing U_p of a series in phi
-needs is stated once, by ``_up_precision``.
+on int lists from the exact psi, an even f_m from f_(m/2)^2 and an odd one from
+psi f_(m-1).  The residues mod p^K that the divisibility sweep reads
+(``_residue_family``) start from psi's two eta factors multiplied mod p^K and
+take it on values packed for the binary Kronecker kernel, each f_k packed once,
+every f_m from f_(floor(m/2)) f_(ceil(m/2)) at one squaring per step: an odd
+m's product comes by polarization from two kept squares.  There the
+multipliers come from the first m coefficients, and the product less the
+cleared principal part is formed on the packed values and unpacked once.
+f_m as a polynomial in psi comes on demand from the Lagrange-Faber formula.
+Both families are built at each call, and the powers of phi are read from the
+store of ``eta``.  The precision that writing U_p of a series in phi needs is
+stated once, by ``_up_precision``.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from . import eta  # eta._psi_factors, looked up per call: one substitute reaches both families
 from .eta import phi_powers, psi
 from .primes import PrimeContext
-from .series import PrecisionError, QSeries, _ks2_mul_sub, _ks2_pack, _school_mul, mul_int_lists
+from .series import PrecisionError, QSeries, _ks2_combine, _ks2_pack, _school_mul, mul_int_lists
 
 
 class NotPolynomialError(ValueError):
@@ -155,10 +158,11 @@ def _clear(t: list, runs) -> dict:
 
 
 def _factors(m: int) -> tuple:
-    """(i, j) with f_m started from f_i f_j: f_(m/2)^2 for an even m, psi
-    f_(m-1) for an odd one.  No step clears a constant, so each f_k, k >= 1,
-    and either product lie in psi Z[psi], and f_m is the one element there
-    with principal part q^-m."""
+    """(i, j) with the exact step's f_m started from f_i f_j: f_(m/2)^2 for an
+    even m, psi f_(m-1) for an odd one.  Any i + j = m would do, and the
+    residue family takes floor(m/2) and ceil(m/2): no step clears a constant,
+    so each f_k, k >= 1, and every such product lie in psi Z[psi], and f_m is
+    the one element there with principal part q^-m."""
     return (m // 2,) * 2 if m % 2 == 0 else (1, m - 1)
 
 
@@ -196,8 +200,11 @@ def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known to
     n + m_max - m, from psi's two eta factors as balanced residues, multiplied once:
     exact psi is never built.  Every residue is below modulus, which fixes the binary
-    Kronecker limb of the whole family, so each f_k is packed once, and each step forms
-    the product less sum c_k x^(m-k) f_k on the packed values, unpacked and reduced once."""
+    Kronecker limb of the whole family, so each f_k is packed once.  Each f_m starts
+    from f_i f_j, i = floor(m/2), j = ceil(m/2), at the two points of the packed format,
+    by one squaring pair: the square f_j^2 new at an odd m, kept for the even m + 1,
+    and from both kept squares the cross term by polarization.  The product less
+    sum c_k x^(m-k) f_k is formed on the packed values, unpacked and reduced once."""
     prec, h = n + m_max - 1, modulus // 2
     size = prec + 2  # q^-1 .. q^prec
     a, b = eta._psi_factors(ctx, prec)
@@ -205,19 +212,27 @@ def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
     b = [(c + h) % modulus - h for c in b]
     fam = [[1], [c % modulus for c in mul_int_lists(a, b, size)]]  # fam[m]: q^-m .. q^(prec-m+1)
     del a, b
-    # a kept coefficient of a b - sum c_k x^(m-k) f_k, every operand a
+    # a kept coefficient of f_i f_j - sum c_k x^(m-k) f_k, every operand a
     # residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2
     bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
     packs = [None]  # packs[k] is f_k packed, made once, just before f_(k+1)
+    squares = {}  # squares[k] is f_k^2 at the two points, read by steps 2k - 1 .. 2k + 1
     for m in range(2, m_max + 1):
         packs.append(_ks2_pack(fam[m - 1], bits, size))
-        i, j = _factors(m)
+        i, j = m // 2, (m + 1) // 2
+        for k in {i, j} - squares.keys():
+            squares[k] = [pow(x, 2) for x in packs[k]]
+        if i == j:
+            product = squares[i]
+        else:  # f_i f_j = ((f_i + f_j)^2 - f_i^2 - f_j^2) / 2, exact at each point
+            product = [(pow(x + y, 2) - u - v) >> 1 for x, y, u, v
+                       in zip(packs[i], packs[j], squares.pop(i), squares[j])]
         # f_k has no pole term but q^-k, so clearing q^-k leaves every other
         # pole term as it was: c_k is the product's own coefficient at q^-k,
         # which its first m coefficients give
         head = _school_mul(fam[i][:m], fam[j][:m], m)
         terms = [(head[m - k] % modulus, m - k, packs[k]) for k in range(m - 1, 0, -1)]
-        t = _ks2_mul_sub(packs[i], packs[j], terms, bits, size)
+        t = _ks2_combine(product, terms, bits, size)
         fam.append(_normalized([x % modulus for x in t], m))
     return [QSeries(f, -m, prec - m + 1) for m, f in enumerate(fam)]
 

@@ -1,7 +1,7 @@
 """Valuation sweeps: the divisibility theorems, the valuation table, the
 j-invariant comparison row, and the exploratory scans.
 
-The divisibility sweep reads the basis mod p^K, p^K >= 2^64, from
+The divisibility sweep reads the basis mod p^K, the largest p^K <= 2^64, from
 ``basis._residue_family``, and the exact coefficient only where a residue is
 0 or the case fails; every other reader takes the exact ``basis_family``.
 The sweep and the scans read U_p^beta of a series through one reader,
@@ -61,7 +61,9 @@ def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int
     return n_max * ctx.p ** (alpha_max + d_max) + m_max + 16
 
 
-_RESIDUE_BITS = 64  # the sweep's modulus p^K: the least with p^K >= 2^64
+# the sweep's modulus p^K: the largest with p^K <= 2^64, so that every residue
+# fits one 64-bit word; its K (64, 40, 27, 22) is far above any valuation observed
+_RESIDUE_BITS = 64
 
 
 def _decimations(s: QSeries, p: int, beta_max: int, n_max: int | None):
@@ -118,7 +120,7 @@ def verify_theorem2(
                     f"{n_max}) = {default_base_precision(ctx, m_max, d_max, n_max)} suffices"
                 )
     modulus = p
-    while modulus < 1 << _RESIDUE_BITS:
+    while modulus * p <= 1 << _RESIDUE_BITS:
         modulus *= p
     for exact in (False, True):
         if exact:

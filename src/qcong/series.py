@@ -183,13 +183,13 @@ def _ks2_unpack(plus, minus, bits, m):
     return out
 
 
-def _ks2_mul_sub(a, b, terms, bits, m):
-    """c_0 .. c_(m-1) of A B - sum c x^s F over terms (c, s, F), where A, B
-    and each F are pairs from ``_ks2_pack`` with this limb: x^s is the scalar
-    (+-2^n)^s at the two points, so the combination costs two multiplies,
-    a scalar multiply and a shift per term, and one unpack."""
+def _ks2_combine(product, terms, bits, m):
+    """c_0 .. c_(m-1) of C - sum c x^s F over terms (c, s, F), where C is given
+    at the two points, product = (C(2^n), C(-2^n)), and each F is a pair from
+    ``_ks2_pack`` with this limb: x^s is the scalar (+-2^n)^s there, so each
+    term costs a scalar multiply and a shift, and the whole one unpack."""
     n = _ks2_limb(bits)[1]
-    plus, minus = a[0] * b[0], a[1] * b[1]
+    plus, minus = product
     for c, s, (f_plus, f_minus) in terms:
         plus -= (c * f_plus) << (n * s)
         minus -= ((-c if s & 1 else c) * f_minus) << (n * s)
@@ -202,7 +202,7 @@ def _binary_kronecker(a, b, bits, length=None, kept=None):
     if kept is not None:  # a list: the next class product of a dilated a reuses pa
         kept[:] = [pa]
     pb = pa if b is a else _ks2_pack(b, bits, m)
-    return _ks2_mul_sub(pa, pb, (), bits, m)
+    return _ks2_combine((pa[0] * pb[0], pa[1] * pb[1]), (), bits, m)
 
 
 # Every operation on a packed Decimal goes through this context: the

@@ -118,10 +118,10 @@ class TestTheorem2:
 
 
 class TestResidueSweep:
-    """The sweep reads valuations from the family mod p^K, p^K >= 2^64, and
-    falls back to the exact family where the residues cannot decide."""
+    """The sweep reads valuations from the family mod p^K, the largest p^K <=
+    2^64, and falls back to the exact family where the residues cannot decide."""
 
-    @pytest.mark.parametrize("p, k", [(2, 64), (3, 41), (5, 28), (7, 23)])
+    @pytest.mark.parametrize("p, k", [(2, 64), (3, 40), (5, 27), (7, 22)])
     def test_residues_are_the_exact_family_mod_p_to_the_k(self, p, k, monkeypatch):
         ctx = PrimeContext(p)
         moduli = []
@@ -133,20 +133,24 @@ class TestResidueSweep:
 
         monkeypatch.setattr(congruence, "_residue_family", spy)
         verify_theorem2(ctx, m_max=1, d_max=1, base_prec=16)
-        assert moduli == [p**k] and p ** (k - 1) < 2**64 <= p**k
-        # m <= 12 includes pole orders divisible by p, and even ones built as
-        # squares; n = 0, 1, 2 give the shortest operands, n = 768 the length
-        # the benchmark times
-        for n in (0, 1, 2, 64, 768):
-            residues = residue_family(ctx, 12, n, p**k)
-            for m, e in enumerate(basis_family(ctx, 12, n)[1:], start=1):
-                assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
-                assert residues[m].coeffs == tuple(c % p**k for c in e.series.coeffs)
+        assert moduli == [p**k] and p**k <= 2**64 < p ** (k + 1)
+        # m <= 13 includes pole orders divisible by p; an even f_m starts from
+        # a kept square, an odd one by polarization, and an odd m_max = 2i + 1
+        # squares f_(i+1) for its last step only; n = 0, 1, 2 give the shortest
+        # operands, n = 768 the length the benchmark times
+        for m_max in (1, 2, 3, 12, 13):
+            for n in (0, 1, 2, 64, 768):
+                residues = residue_family(ctx, m_max, n, p**k)
+                assert len(residues) == m_max + 1
+                for m, e in enumerate(basis_family(ctx, m_max, n)[1:], start=1):
+                    assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
+                    assert residues[m].coeffs == tuple(c % p**k for c in e.series.coeffs)
 
     @pytest.mark.parametrize("modulus", [2**64, 7**23])
     def test_packed_combination_at_the_largest_residues(self, modulus):
-        # the limb of the residue family; 1023 is the longest run that shares
-        # it with the benchmark's 781, both giving bit_length(2 size) = 11
+        # the limb of the residue family, whose rule holds at any modulus
+        # (7^23 > 2^64 too); 1023 is the longest run that shares it with the
+        # benchmark's 781, both giving bit_length(2 size) = 11
         size, m = 1023, 12
         bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
         top = [modulus - 1] * size
@@ -156,12 +160,34 @@ class TestResidueSweep:
         # coefficients; zero operands under the same terms, the most negative
         for a in (top, [0] * size):
             a_packed = series._ks2_pack(a, bits, size)
-            got = series._ks2_mul_sub(a_packed, a_packed, terms, bits, size)
+            got = series._ks2_combine([x * x for x in a_packed], terms, bits, size)
             want = series._school_mul(a, a, size)
             for c, shift, _ in terms:
                 want[shift:] = [x - c * y for x, y in zip(want[shift:], top)]
             assert got == want
             assert [x % modulus for x in got] == [x % modulus for x in want]
+
+    @pytest.mark.parametrize("modulus", [2**64, 7**22])
+    def test_polarized_product_at_the_largest_residues(self, modulus):
+        # an odd step's f_i f_j from the kept squares at the same limb,
+        # ((P_i + P_j)^2 - S_i - S_j) >> 1 at each point: the sum's square
+        # reaches twice the kept width, but the identity is exact, so only
+        # the combination's kept coefficients must fit the limb
+        size, m = 1023, 13
+        bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+        top = [modulus - 1] * size
+        packed = series._ks2_pack(top, bits, size)
+        terms = [(modulus - 1, m - k, packed) for k in range(m - 1, 0, -1)]
+        for f, g in ((top, top), (top, [0] * size), ([0] * size, [0] * size)):
+            pf, pg = series._ks2_pack(f, bits, size), series._ks2_pack(g, bits, size)
+            squares = [[x * x for x in pf], [y * y for y in pg]]
+            product = [((x + y) ** 2 - u - v) >> 1 for x, y, u, v in zip(pf, pg, *squares)]
+            assert product == [x * y for x, y in zip(pf, pg)]
+            got = series._ks2_combine(product, terms, bits, size)
+            want = series._school_mul(f, g, size)
+            for c, shift, _ in terms:
+                want[shift:] = [x - c * y for x, y in zip(want[shift:], top)]
+            assert got == want
 
     def test_a_zero_residue_falls_back_to_the_same_report(self, monkeypatch):
         ctx = PrimeContext(2)

@@ -22,8 +22,8 @@ from qcong.series import (
     _binary_kronecker,
     _decimal_kronecker,
     _kronecker_mul,
+    _ks2_combine,
     _ks2_limb,
-    _ks2_mul_sub,
     _ks2_pack,
     _ks2_unpack,
     _limb_bits,
@@ -875,7 +875,7 @@ class TestKroneckerKernel:
             want = _school_mul(f, b, size)
             for c, shift, _ in terms:
                 want[shift:] = [w - c * v for w, v in zip(want[shift:], g)]
-            assert _ks2_mul_sub(pf, pb, terms, bits, size) == want
+            assert _ks2_combine((pf[0] * pb[0], pf[1] * pb[1]), terms, bits, size) == want
 
     def test_leading_zeros_are_stripped_for_every_method(self, monkeypatch):
         calls = _spy_methods(monkeypatch)
