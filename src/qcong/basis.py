@@ -9,7 +9,8 @@ in phi is the same reduction against 1, phi, ..., phi^D from q^0.
 Both families are built here: the exact one (``basis_family``) takes the step
 on int lists from the exact psi, an even f_m from f_(m/2)^2 and an odd one from
 psi f_(m-1).  The residues mod p^K that the divisibility sweep reads
-(``_residue_family``) start from psi's two eta factors multiplied mod p^K and
+(``_residue_family``), p^K the largest whose Kronecker limb is two 64-bit words
+(``_residue_modulus``), start from psi's two eta factors multiplied mod p^K and
 take it on values packed for the binary Kronecker kernel, each f_k packed once,
 every f_m from f_(floor(m/2)) f_(ceil(m/2)) at one squaring per step: an odd
 m's product comes by polarization from two kept squares.  There the
@@ -196,25 +197,48 @@ def basis_family(ctx: PrimeContext, m_max: int, n: int):
                  for m, f in enumerate(fam))
 
 
-def _residue_family(ctx: PrimeContext, m_max: int, n: int, modulus: int):
-    """The series f_0 .. f_m_max of ``basis_family`` mod modulus, f_m known to
-    n + m_max - m, from psi's two eta factors as balanced residues, multiplied once:
-    exact psi is never built.  Every residue is below modulus, which fixes the binary
-    Kronecker limb of the whole family, so each f_k is packed once.  Each f_m starts
+# the residue family's binary Kronecker limb: two 64-bit words, which the
+# modulus rule below fills as far as a power of p allows
+_RESIDUE_BITS = 128
+
+
+def _residue_limb(modulus: int, size: int) -> int:
+    """The limb of the residue family mod modulus over runs of `size`
+    coefficients: a kept coefficient of f_i f_j - sum c_k x^(m-k) f_k, every
+    operand a residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2."""
+    return 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+
+
+def _residue_modulus(p: int, size: int) -> int:
+    """p^K for the residue family over runs of `size` coefficients: the largest
+    whose limb fits _RESIDUE_BITS, and p itself when none does.  For p <= 7 one
+    more factor p adds at most 6 bits, so the limb is 123 .. 128 bits, 16 bytes."""
+    modulus = p
+    while _residue_limb(modulus * p, size) <= _RESIDUE_BITS:
+        modulus *= p
+    return modulus
+
+
+def _residue_family(ctx: PrimeContext, m_max: int, n: int):
+    """The series f_0 .. f_m_max of ``basis_family`` mod p^K, f_m known to
+    n + m_max - m, p^K from ``_residue_modulus``, from psi's two eta factors as
+    balanced residues, multiplied once: exact psi is never built.  Every residue is
+    below p^K, which fixes the binary Kronecker limb of the whole family at two
+    64-bit words, so each f_k is packed once.  Each f_m starts
     from f_i f_j, i = floor(m/2), j = ceil(m/2), at the two points of the packed format,
     by one squaring pair: the square f_j^2 new at an odd m, kept for the even m + 1,
     and from both kept squares the cross term by polarization.  The product less
     sum c_k x^(m-k) f_k is formed on the packed values, unpacked and reduced once."""
-    prec, h = n + m_max - 1, modulus // 2
+    prec = n + m_max - 1
     size = prec + 2  # q^-1 .. q^prec
+    modulus = _residue_modulus(ctx.p, size)
+    h = modulus // 2
     a, b = eta._psi_factors(ctx, prec)
     a = [(c + h) % modulus - h for c in a]  # each exact factor is dropped once reduced
     b = [(c + h) % modulus - h for c in b]
     fam = [[1], [c % modulus for c in mul_int_lists(a, b, size)]]  # fam[m]: q^-m .. q^(prec-m+1)
     del a, b
-    # a kept coefficient of f_i f_j - sum c_k x^(m-k) f_k, every operand a
-    # residue, is below (size + m)(modulus - 1)^2 < 2 size (modulus - 1)^2
-    bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+    bits = _residue_limb(modulus, size)
     packs = [None]  # packs[k] is f_k packed, made once, just before f_(k+1)
     squares = {}  # squares[k] is f_k^2 at the two points, read by steps 2k - 1 .. 2k + 1
     for m in range(2, m_max + 1):

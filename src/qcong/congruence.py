@@ -1,9 +1,10 @@
 """Valuation sweeps: the divisibility theorems, the valuation table, the
 j-invariant comparison row, and the exploratory scans.
 
-The divisibility sweep reads the basis mod p^K, the largest p^K <= 2^64, from
-``basis._residue_family``, and the exact coefficient only where a residue is
-0 or the case fails; every other reader takes the exact ``basis_family``.
+The divisibility sweep reads the basis mod p^K from ``basis._residue_family``,
+which picks p^K to fill its two-word Kronecker limb, and the exact coefficient
+only where a residue is 0 or the case fails; every other reader takes the
+exact ``basis_family``.
 The sweep and the scans read U_p^beta of a series through one reader,
 ``_decimations``, which yields the coefficients at n = 1 .. top of each
 decimation as one slice.  Both families of the basis are built in
@@ -61,11 +62,6 @@ def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int
     return n_max * ctx.p ** (alpha_max + d_max) + m_max + 16
 
 
-# the sweep's modulus p^K: the largest with p^K <= 2^64, so that every residue
-# fits one 64-bit word; its K (64, 40, 27, 22) is far above any valuation observed
-_RESIDUE_BITS = 64
-
-
 def _decimations(s: QSeries, p: int, beta_max: int, n_max: int | None):
     """For beta = 0 .. beta_max, the coefficients at n = 1 .. top of
     U_p^beta s as one zero-padded slice, top = min(n_max, prec), or prec
@@ -119,14 +115,11 @@ def verify_theorem2(
                     f"< n_max={n_max}; default_base_precision(ctx, {m_max}, {d_max}, "
                     f"{n_max}) = {default_base_precision(ctx, m_max, d_max, n_max)} suffices"
                 )
-    modulus = p
-    while modulus * p <= 1 << _RESIDUE_BITS:
-        modulus *= p
     for exact in (False, True):
         if exact:
             fam = [e.series for e in basis_family(ctx, m_max, base_prec)]
         else:
-            fam = _residue_family(ctx, m_max, base_prec, modulus)
+            fam = _residue_family(ctx, m_max, base_prec)
         cases = []
         ok = decided = True
         for m in range(1, m_max + 1):

@@ -31,7 +31,10 @@ width:
   value with the offset constant 2^(2n-1) per limb turns two's complement
   limbs into nonnegative offset limbs, and back; a limb of at most 64 bits
   is one 8-byte word, and a run of words is packed and unpacked by one
-  ``struct`` call, wider limbs one ``int.to_bytes``/``int.from_bytes`` each;
+  ``struct`` call; a wider limb is packed by one ``int.to_bytes`` each, and
+  unpacked by one ``struct`` call when it is two words (the low one
+  unsigned, the top one signed, joined at C level), else by one
+  ``int.from_bytes`` each;
 - decimal Kronecker substitution, once the packed operand is large: limbs of
   10^k packed into ``decimal.Decimal`` values, whose multiply (libmpdec) is a
   number-theoretic transform, O(n log n) against Karatsuba's O(n^1.58).
@@ -52,7 +55,7 @@ import operator
 import struct
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 # int <-> str conversions raise beyond this many digits (0: no limit); the
 # function exists from Python 3.10.7 on
@@ -171,6 +174,9 @@ def _ks2_unpack(plus, minus, bits, m):
         raw = raw.to_bytes(count * nbytes, "little")
         if nbytes == 8:
             return struct.unpack(f"<{count}q", raw)
+        if nbytes == 16:  # two words, one struct call: the low word unsigned, the top signed
+            words = struct.unpack("<" + "Qq" * count, raw)
+            return map(operator.add, map(operator.lshift, words[1::2], repeat(64)), words[0::2])
         return [int.from_bytes(raw[i : i + nbytes], "little", signed=True)
                 for i in range(0, len(raw), nbytes)]
 

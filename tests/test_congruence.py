@@ -118,33 +118,43 @@ class TestTheorem2:
 
 
 class TestResidueSweep:
-    """The sweep reads valuations from the family mod p^K, the largest p^K <=
-    2^64, and falls back to the exact family where the residues cannot decide."""
+    """The sweep reads valuations from the family mod p^K, the largest p^K
+    whose Kronecker limb is two 64-bit words, and falls back to the exact
+    family where the residues cannot decide."""
 
-    @pytest.mark.parametrize("p, k", [(2, 64), (3, 40), (5, 27), (7, 22)])
+    @pytest.mark.parametrize("p, k", [(2, 57), (3, 35), (5, 24), (7, 20)])
     def test_residues_are_the_exact_family_mod_p_to_the_k(self, p, k, monkeypatch):
         ctx = PrimeContext(p)
         moduli = []
-        residue_family = congruence._residue_family
+        residue_modulus = basis._residue_modulus
 
-        def spy(ctx, m_max, n, modulus):
-            moduli.append(modulus)
-            return residue_family(ctx, m_max, n, modulus)
+        def spy(p, size):
+            moduli.append(residue_modulus(p, size))
+            return moduli[-1]
 
-        monkeypatch.setattr(congruence, "_residue_family", spy)
-        verify_theorem2(ctx, m_max=1, d_max=1, base_prec=16)
-        assert moduli == [p**k] and p**k <= 2**64 < p ** (k + 1)
+        monkeypatch.setattr(basis, "_residue_modulus", spy)
+        # the benchmark's sweep: m_max = 12 at base_prec 768, runs q^-1 .. q^779
+        verify_theorem2(ctx, m_max=12, d_max=3, base_prec=768)
+        assert moduli == [p**k]
+        limb = basis._residue_limb
+        assert limb(p**k, 781) <= basis._RESIDUE_BITS == 128 < limb(p ** (k + 1), 781)
+        # the limb is two words at the benchmark's size and at acceptance
+        # size, 4096 at p = 2 and 2048 otherwise, m_max = 12
+        for size in (781, (4096 if p == 2 else 2048) + 13):
+            assert series._ks2_limb(limb(residue_modulus(p, size), size))[0] == 16
         # m <= 13 includes pole orders divisible by p; an even f_m starts from
         # a kept square, an odd one by polarization, and an odd m_max = 2i + 1
         # squares f_(i+1) for its last step only; n = 0, 1, 2 give the shortest
         # operands, n = 768 the length the benchmark times
         for m_max in (1, 2, 3, 12, 13):
             for n in (0, 1, 2, 64, 768):
-                residues = residue_family(ctx, m_max, n, p**k)
+                moduli.clear()
+                residues = basis._residue_family(ctx, m_max, n)
+                assert moduli == [residue_modulus(p, n + m_max + 1)]
                 assert len(residues) == m_max + 1
                 for m, e in enumerate(basis_family(ctx, m_max, n)[1:], start=1):
                     assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
-                    assert residues[m].coeffs == tuple(c % p**k for c in e.series.coeffs)
+                    assert residues[m].coeffs == tuple(c % moduli[0] for c in e.series.coeffs)
 
     @pytest.mark.parametrize("modulus", [2**64, 7**23])
     def test_packed_combination_at_the_largest_residues(self, modulus):
@@ -203,8 +213,9 @@ class TestResidueSweep:
         for p in (2, 3, 5, 7):
             assert verify_theorem2(PrimeContext(p), m_max=12, d_max=3, base_prec=768).ok
         assert calls == []
-        # mod 2 every checked coefficient reads 0, so v_2 >= 1 decides nothing
-        monkeypatch.setattr(congruence, "_RESIDUE_BITS", 1)
+        # no limb fits one bit, so the rule falls to modulus p = 2, and mod 2
+        # every checked coefficient reads 0: v_2 >= 1 decides nothing
+        monkeypatch.setattr(basis, "_RESIDUE_BITS", 1)
         assert verify_theorem2(ctx, m_max=6, d_max=2, base_prec=128) == report
         assert calls == [(ctx, 6, 128)]
 

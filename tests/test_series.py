@@ -2,7 +2,9 @@ import decimal
 import math
 import operator
 import random
+import struct
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -843,6 +845,52 @@ class TestKroneckerKernel:
             plus = sum(x << (n * k) for k, x in enumerate(negative))
             assert plus < 0
             assert _ks2_unpack(*_ks2_pack(negative, bits, m), bits, m) == negative
+
+    # A limb of two 8-byte words is unpacked by one struct call, its top word
+    # signed; a limb of 17, 18, 24 or 32 bytes one int.from_bytes at a time.
+
+    @pytest.mark.parametrize("bits, nbytes", [(128, 16), (136, 17), (144, 18), (192, 24),
+                                              (256, 32)])
+    def test_wide_round_trip_at_the_limb_bound(self, bits, nbytes, monkeypatch):
+        unpacks = []
+
+        def unpack(fmt, raw):
+            unpacks.append(fmt)
+            return struct.unpack(fmt, raw)
+
+        monkeypatch.setattr(qcong.series, "struct", types.SimpleNamespace(pack=struct.pack,
+                                                                          unpack=unpack))
+        assert _ks2_limb(bits)[0] == nbytes
+        top = 2 ** (bits - 2) - 1  # the largest |c| with 4|c| < 2^bits
+        rng = random.Random(bits)
+        runs = [[top] * 9, [-top] * 9, [0] * 9, [(-1) ** k * top for k in range(9)],
+                [-top, 0, 0, top, 0, -1, 1, 2**64, -(2**64), 2**63, -(2**63) - 1],
+                [rng.choice((-top, 0, top, rng.randint(-top, top))) for _ in range(40)]]
+        for run in runs:
+            for m in {1, 2, len(run) - 1, len(run)}:
+                assert _ks2_unpack(*_ks2_pack(run, bits, m), bits, m) == run[:m]
+        if nbytes == 16:  # each limb: the low word unsigned, the top one signed
+            assert unpacks and all(f == "<" + "Qq" * (len(f) // 2) for f in unpacks)
+        else:
+            assert unpacks == []
+
+    @pytest.mark.parametrize("modulus", [2**57, 7**20])
+    def test_combination_at_the_two_word_limb(self, modulus):
+        # the residue family's limb at the benchmark's 781 coefficients, with
+        # every residue, multiplier and f_k at modulus - 1: the largest kept
+        # coefficients; a zero operand under the same terms gives the most negative
+        size, m = 781, 12
+        bits = 2 * (modulus - 1).bit_length() + (2 * size).bit_length() + 2
+        assert bits <= 128 and _ks2_limb(bits)[0] == 16
+        top = [modulus - 1] * size
+        packed = _ks2_pack(top, bits, size)
+        terms = [(modulus - 1, m - k, packed) for k in range(m - 1, 0, -1)]
+        for a in (top, [0] * size):
+            pa = _ks2_pack(a, bits, size)
+            want = _school_mul(a, a, size)
+            for c, shift, _ in terms:
+                want[shift:] = [x - c * y for x, y in zip(want[shift:], top)]
+            assert _ks2_combine([x * x for x in pa], terms, bits, size) == want
 
     def test_one_word_squares_classes_and_combinations(self, monkeypatch):
         calls = _spy_methods(monkeypatch)
