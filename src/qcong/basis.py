@@ -6,16 +6,16 @@ against f_(m-1), ..., f_1, each of which has the single pole term q^{-k}, so
 the reduction is triangular and never needs a linear solve.
 That reduction is ``_clear``, in place on one int list, and writing a series
 in phi is the same reduction against 1, phi, ..., phi^D from q^0.
-Both families are built here: the exact one (``basis_family``) takes the step
-on int lists from the exact psi, an even f_m from f_(m/2)^2 and an odd one from
-psi f_(m-1).  The residues mod p^K that the divisibility sweep reads
-(``_residue_family``), p^K the largest whose Kronecker limb is two 64-bit words
-(``_residue_modulus``), start from psi's two eta factors multiplied mod p^K and
-take it on values packed for the binary Kronecker kernel, each f_k packed once,
-every f_m from f_(floor(m/2)) f_(ceil(m/2)) at one squaring per step: an odd
-m's product comes by polarization from two kept squares.  There the
-multipliers come from the first m coefficients, and the product less the
-cleared principal part is formed on the packed values and unpacked once.
+Both families are built here, and both start every f_m from
+f_(floor(m/2)) f_(ceil(m/2)): the exact one (``basis_family``) takes the step
+on int lists from the exact psi.  The residues mod p^K that the divisibility
+sweep reads (``_residue_family``), p^K the largest whose Kronecker limb is two
+64-bit words (``_residue_modulus``), start from psi's two eta factors multiplied
+mod p^K and take it on values packed for the binary Kronecker kernel, each f_k
+packed once, at one squaring per step: an odd m's product comes by
+polarization from two kept squares.  There the multipliers come from the
+first m coefficients, and the product less the cleared principal part is
+formed on the packed values and unpacked once.
 f_m as a polynomial in psi comes on demand from the Lagrange-Faber formula.
 Both families are built at each call, and the powers of phi are read from the
 store of ``eta``.  The precision that writing U_p of a series in phi needs is
@@ -158,15 +158,6 @@ def _clear(t: list, runs) -> dict:
     return cleared
 
 
-def _factors(m: int) -> tuple:
-    """(i, j) with the exact step's f_m started from f_i f_j: f_(m/2)^2 for an
-    even m, psi f_(m-1) for an odd one.  Any i + j = m would do, and the
-    residue family takes floor(m/2) and ceil(m/2): no step clears a constant,
-    so each f_k, k >= 1, and every such product lie in psi Z[psi], and f_m is
-    the one element there with principal part q^-m."""
-    return (m // 2,) * 2 if m % 2 == 0 else (1, m - 1)
-
-
 def _normalized(t: list, m: int) -> list:
     if t[0] != 1 or any(t[1:m]):
         raise ArithmeticError("basis reduction failed to normalize the principal part")
@@ -175,11 +166,13 @@ def _normalized(t: list, m: int) -> list:
 
 def _faber_step(fam: list) -> list:
     """f_m for m = len(fam) >= 2 as an int list q^-m .. q^(prec-m+1), from
-    fam = [f_0, ..., f_(m-1)] in that layout, f_1 = psi: the product of
-    ``_factors(m)`` with q^-(m-1) .. q^-1 cleared against f_(m-1) .. f_1."""
+    fam = [f_0, ..., f_(m-1)] in that layout, f_1 = psi: f_i f_j, i = floor(m/2),
+    j = ceil(m/2), the rule of ``_residue_family`` too, with q^-(m-1) .. q^-1
+    cleared against f_(m-1) .. f_1.  Any i + j = m would do: no step clears a
+    constant, so each f_k, k >= 1, and every such product lie in psi Z[psi], and
+    f_m is the one element there with principal part q^-m."""
     m = len(fam)
-    i, j = _factors(m)
-    t = mul_int_lists(fam[i], fam[j], len(fam[1]))
+    t = mul_int_lists(fam[m // 2], fam[(m + 1) // 2], len(fam[1]))
     _clear(t, ((m - k, fam[k]) for k in range(m - 1, 0, -1)))
     return _normalized(t, m)
 

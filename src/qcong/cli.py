@@ -5,7 +5,10 @@ powersums|closure|cusp``, ``table valuations|bj``, ``scan alpha-gt-beta|
 phi-powers``) has its own parser.  It accepts ``--p``, ``--format`` (the
 formats it renders; the first is the default) and ``--output``, plus exactly
 the flags it reads.  Flags follow the full command, and abbreviated flags are
-not accepted: anything else is a usage error.
+not accepted: anything else is a usage error.  A precision flag exists only
+where it changes what is printed or checked: ``expand``, ``verify hrelation``
+and ``verify theorem2``, which takes ``--n-max`` or ``--precision``, not both.
+Every other command runs at the precision that proves what it checks.
 
 Exit codes: 0 = all checks passed, 1 = a verification found a counterexample,
 2 = usage or configuration error (one ``error:`` line), 3 = internal error.
@@ -25,7 +28,6 @@ from . import congruence, eta, hecke
 from .basis import _up_precision, basis_element
 from .congruence import j_series
 from .primes import PrimeContext
-from .series import PrecisionError
 
 
 class UsageError(Exception):
@@ -77,16 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv = pv.add_subparsers(dest="target", required=True)
     _leaf(pv, "theorem2", _theorem2, text_json, m_max=6, d_max=2, n_max=None, precision=None)
-    _leaf(pv, "lehner", _lehner, text_json, m=1, d_max=2, n_max=32, precision=None)
-    _leaf(pv, "modeq", _modeq, text_json, precision=None)
+    _leaf(pv, "lehner", _lehner, text_json, m=1, d_max=2, n_max=32)
+    _leaf(pv, "modeq", _modeq, text_json)
     _leaf(pv, "hrelation", _hrelation, text_json, precision=None)
     _leaf(pv, "powersums", _powersums, text_json, n_max=None)
-    _leaf(pv, "closure", _closure, text_json, trials=100, deg_max=4, seed=0, precision=None)
+    _leaf(pv, "closure", _closure, text_json, trials=100, deg_max=4, seed=0)
     _leaf(pv, "cusp", _cusp, text_json, tau="0+1i", tol=1e-8)
 
     pt = sub.add_parser("table", help="render a table").add_subparsers(dest="which", required=True)
     _leaf(pt, "valuations", _valuations, every, rows="1,3,5,7", cols="2,4,6,8,10,12", with_j=False)
-    _leaf(pt, "bj", _bj, every, precision=None)
+    _leaf(pt, "bj", _bj, every)
 
     ps = sub.add_parser("scan", help="emit exploratory valuation data")
     ps = ps.add_subparsers(dest="which", required=True)
@@ -95,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _precision(args, minimum: int = 16, default: int | None = 256) -> int | None:
+def _precision(args, minimum: int = 16, default: int = 256) -> int:
     prec = default if args.precision is None else args.precision
-    if prec is not None and prec < minimum:
+    if prec < minimum:
         raise UsageError(f"precision must be at least {minimum}")
     return prec
 
@@ -180,19 +182,12 @@ def _expand(args, ctx):
     return payload, [("exponent", "coefficient")] + pairs, [text]
 
 
-def _sweep(args, ctx, m_max: int, prec: int | None):
-    """``verify_theorem2``, with too low a precision reported by its flags."""
-    try:
-        return congruence.verify_theorem2(ctx, m_max, args.d_max, args.n_max, prec)
-    except PrecisionError as exc:
-        need = congruence.default_base_precision(ctx, m_max, args.d_max, args.n_max)
-        raise UsageError(f"--precision {prec} does not determine n up to --n-max "
-                         f"{args.n_max}; --precision {need} suffices") from exc
-
-
 def _theorem2(args, ctx):
-    prec = _precision(args, default={2: 4096}.get(ctx.p, 2048))
-    report = _sweep(args, ctx, args.m_max, prec)
+    if args.n_max is not None and args.precision is not None:
+        raise UsageError("--n-max and --precision exclude each other: give one")
+    # --n-max sizes the sweep itself; without it, --precision or its default does
+    prec = None if args.n_max is not None else _precision(args, default={2: 4096}.get(ctx.p, 2048))
+    report = congruence.verify_theorem2(ctx, args.m_max, args.d_max, args.n_max, prec)
     failures = report.failures
     lines = [
         f"theorem2 p={ctx.p} m<={args.m_max} d<={args.d_max} base_prec={report.base_prec}",
@@ -218,8 +213,7 @@ def _theorem2(args, ctx):
 def _lehner(args, ctx):
     if not 1 <= args.m < ctx.p:
         raise UsageError(f"--m must satisfy 1 <= m < {ctx.p}")
-    # without an override the precision follows from n_max
-    report = _sweep(args, ctx, args.m, _precision(args, default=None))
+    report = congruence.verify_theorem2(ctx, args.m, args.d_max, n_max=args.n_max)
     lines = [
         f"lehner p={ctx.p} m={args.m} d<={args.d_max}: "
         f"{len(report.cases)} cases, " + ("PASS" if report.ok else "FAIL")
@@ -229,11 +223,10 @@ def _lehner(args, ctx):
 
 
 def _modeq(args, ctx):
-    prec = _precision(args, minimum=_up_precision(ctx.p, ctx.p), default=128)
-    eq = hecke.derive_bj(ctx, prec)
+    eq = hecke.derive_bj(ctx)
     expected = hecke.BJ_TABLE[ctx.p]
     ok = eq.b == expected
-    lines = [f"modeq p={ctx.p} N={prec}"]
+    lines = [f"modeq p={ctx.p} N={_up_precision(ctx.p, ctx.p)}"]
     for j, b in enumerate(eq.b, start=1):
         lines.append(f"b_{j} = {b}")
     lines.append("PASS" if ok else f"FAIL (expected {expected})")
@@ -271,14 +264,7 @@ def _powersums(args, ctx):
 
 
 def _closure(args, ctx):
-    prec = _precision(args, default=None)  # None: follows from p and deg_max
-    try:
-        report = hecke.verify_up_closure(ctx, trials=args.trials, deg_max=args.deg_max,
-                                         n=prec, seed=args.seed)
-    except PrecisionError as exc:
-        need = _up_precision(ctx.p, ctx.p * args.deg_max)
-        raise UsageError(f"--precision {prec} is too low for --deg-max {args.deg_max}; "
-                         f"--precision {need} suffices") from exc
+    report = hecke.verify_up_closure(ctx, trials=args.trials, deg_max=args.deg_max, seed=args.seed)
     bad = [t for t in report.trials if not t.ok]
     lines = [
         f"closure p={ctx.p} trials={args.trials} deg<={args.deg_max} "
@@ -333,8 +319,7 @@ def _valuations(args, ctx):
 
 
 def _bj(args, ctx):
-    prec = _precision(args, minimum=_up_precision(ctx.p, ctx.p), default=128)
-    rows = list(enumerate(hecke.derive_bj(ctx, prec).b, start=1))
+    rows = list(enumerate(hecke.derive_bj(ctx).b, start=1))
     lines = [f"modular-equation coefficients, p={ctx.p}"] + [f"  {j}  {b}" for j, b in rows]
     payload = {"p": ctx.p, "table": "bj", "rows": [[j, str(b)] for j, b in rows]}
     return payload, [("j", "b_j")] + rows, lines

@@ -18,7 +18,7 @@ from itertools import count, repeat
 from .basis import _residue_family, _up_precision, basis_family, express_in_phi
 from .eta import _eta_power, phi_powers
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
-from .series import PrecisionError, QSeries, _val_p_int, val_p
+from .series import QSeries, _val_p_int, val_p
 
 
 def bound(ctx: PrimeContext, d: int) -> int:
@@ -57,7 +57,9 @@ class CongruenceReport:
 
 
 def default_base_precision(ctx: PrimeContext, m_max: int, d_max: int, n_max: int) -> int:
-    """Precision needed so that n_max coefficients survive the decimations."""
+    """Precision needed so that n_max coefficients survive the decimations:
+    f_m is known to base_prec + m_max - m, each U_p floor-divides that by p,
+    and every block (m, beta <= v_p(m) + d_max) keeps n = 1 .. n_max."""
     alpha_max = max((val_p(m, ctx.p) for m in range(1, m_max + 1)), default=0)
     return n_max * ctx.p ** (alpha_max + d_max) + m_max + 16
 
@@ -87,8 +89,10 @@ def verify_theorem2(
     exact coefficient, reruns it on the exact ``basis_family``.
 
     The index n runs from 1: constant terms are exempt (the constant term of
-    the pole-order-1 element already violates the stated modulus).  Given
-    ``n_max``, every checked block must know n = 1..n_max, or PrecisionError.
+    the pole-order-1 element already violates the stated modulus).  The sweep
+    is sized by one value: ``n_max``, whose ``default_base_precision`` knows
+    every checked block to n = n_max, or ``base_prec``, each block then read
+    to every coefficient it knows.  Both, or neither, raise ValueError.
     """
     p = ctx.p
     # each bound below leaves no case to check, which would read as a PASS
@@ -96,25 +100,13 @@ def verify_theorem2(
         raise ValueError("m_max must be at least 1")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
+    if (n_max is None) == (base_prec is None):
+        raise ValueError("give exactly one of n_max and base_prec")
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be at least 1")
     bounds = {d: bound(ctx, d) for d in range(1, d_max + 1)}  # p = 13 raises here
     if base_prec is None:
-        if n_max is None:
-            raise ValueError("give either n_max or base_prec")
         base_prec = default_base_precision(ctx, m_max, d_max, n_max)
-    # a coefficient nobody computed must not count as checked: f_m is known
-    # to base_prec + m_max - m, and each U_p floor-divides that by p
-    for m in range(1, m_max + 1):
-        alpha = val_p(m, p)
-        for beta in range(alpha + 1, alpha + d_max + 1):
-            known = (base_prec + m_max - m) // p**beta
-            if n_max is not None and known < n_max:
-                raise PrecisionError(
-                    f"base_prec={base_prec} knows m={m}, beta={beta} only to n={known} "
-                    f"< n_max={n_max}; default_base_precision(ctx, {m_max}, {d_max}, "
-                    f"{n_max}) = {default_base_precision(ctx, m_max, d_max, n_max)} suffices"
-                )
     for exact in (False, True):
         if exact:
             fam = [e.series for e in basis_family(ctx, m_max, base_prec)]

@@ -37,7 +37,8 @@ class RpReport:
 def derive_bj(ctx: PrimeContext, n: int | None = None) -> ModularEquation:
     """Recover the integers b_j from U_p phi = p * sum b_j phi^j, exactly,
     from phi known to n, by default the least precision that proves them,
-    p (p + 8) (below it ``PrecisionError``); a larger n gives the same b_j."""
+    p (p + 8) (below it ``PrecisionError``); a larger n gives the same b_j.
+    Only the benchmark's lattice workload and the tests set n."""
     p, least = ctx.p, _up_precision(ctx.p, ctx.p)
     n = least if n is None else n
     if n < least:
@@ -175,23 +176,20 @@ class ClosureReport:
 
 
 def verify_up_closure(ctx: PrimeContext, trials: int = 100, deg_max: int = 4,
-                      n: int | None = None, seed: int = 0) -> ClosureReport:
+                      seed: int = 0) -> ClosureReport:
     """U_p maps L_D = {sum_{k<=D} c_k phi^k : v_p(c_k) >= gamma(k)} into p^delta L, proved
     by the D images U_p(p^gamma(k) phi^k), each read in phi by the series route and equal
     to the Newton route, power_sums[k] / p^(lam k/2 + 1).  Trials are their combinations.
-    phi is known to n, by default p (p D + 8), the least that proves every image."""
+    phi is known to p (p D + 8), the least that proves every image, and the b_j are
+    derived at ``derive_bj``'s own precision."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if deg_max < 1:
         raise ValueError("deg_max must be positive")
     p = ctx.p
-    need = _up_precision(p, p * deg_max)
-    n = need if n is None else n
-    if n < need:  # checked before phi is built
-        raise PrecisionError(f"precision {n} too low for deg_max {deg_max}: {need} suffices")
-    powers = phi_powers(ctx, deg_max, n)
+    powers = phi_powers(ctx, deg_max, _up_precision(p, p * deg_max))
     try:
-        sums = power_sums(derive_bj(ctx, n), deg_max)
+        sums = power_sums(derive_bj(ctx), deg_max)
     except (ArithmeticError, NotPolynomialError):  # U_p phi is not p times a polynomial
         sums = [None] * deg_max
     images, errors, basis = {}, {}, []  # k -> (constant, polynomial) of U_p phi^k; k -> text

@@ -362,7 +362,9 @@ def _by_shape(a, b, bits, narrow, length, *kept):
 _SCHOOL_CUTOFF = 32
 # smallest min(len(a), len(b), length) * limb bits sent to the decimal radix, per product:
 # against the two-point binary path, libmpdec breaks even between 200 and
-# 300 kbit and wins by 1.1-1.7x from 400 kbit on
+# 300 kbit and wins by 1.1-1.7x from 400 kbit on.  No benchmark workload reaches it; it
+# stays for the long phi and psi products of the tests: tier-1 without it took 19.1-19.4 s
+# against 14.9-16.0 s with it (2-vCPU Xeon), most of that in TestPhi's p = 2 products
 _DECIMAL_CUTOFF = 200_000
 # least (limb - narrow) * n / (pairs * (narrow // 64 + 1)) sent to schoolbook: over
 # n = 40..512, narrow 9..301 and wide 150..6,000 bits (full, truncated, 2n-by-n; Python

@@ -93,14 +93,15 @@ class TestExpand:
 
 class TestVerify:
     def test_modeq_pass(self, capsys):
-        code, out, _ = capture(capsys, ["verify", "modeq", "--p", "3", "--precision", "64"])
-        assert code == 0
+        # the b_j are derived at the least precision that proves them, p (p + 8)
+        code, out, _ = capture(capsys, ["verify", "modeq", "--p", "3"])
+        assert code == 0 and out.startswith("modeq p=3 N=33\n")
         assert "b_1 = 30" in out and "b_2 = 2916" in out and "b_3 = 59049" in out
         assert out.strip().endswith("PASS")
 
     def test_modeq_json(self, capsys):
         code, out, _ = capture(
-            capsys, ["verify", "modeq", "--p", "5", "--precision", "128", "--format", "json"]
+            capsys, ["verify", "modeq", "--p", "5", "--format", "json"]
         )
         assert code == 0
         payload = json.loads(out)
@@ -125,10 +126,17 @@ class TestVerify:
     def test_theorem2_small(self, capsys):
         code, out, _ = capture(
             capsys,
-            ["verify", "theorem2", "--p", "7", "--m-max", "3", "--d-max", "1",
-             "--n-max", "10", "--precision", "128"],
+            ["verify", "theorem2", "--p", "7", "--m-max", "3", "--d-max", "1", "--n-max", "10"],
         )
         assert code == 0 and "PASS" in out
+
+    def test_n_max_sizes_the_sweep(self, capsys):
+        # --n-max alone sizes every block: 10 * 7^3 + 3 + 16 = 3449 knows n <= 10
+        # at beta = 3, which the default --precision 2048 does not
+        argv = "verify theorem2 --p 7 --m-max 3 --d-max 3 --n-max 10".split()
+        code, out, _ = capture(capsys, argv)
+        assert code == 0 and out.splitlines()[0].endswith(" base_prec=3449")
+        assert out.splitlines()[1:] == ["cases checked: 90", "PASS"]
 
     def test_closure_small(self, capsys):
         code, out, _ = capture(
@@ -169,14 +177,16 @@ class TestVerify:
         assert code == 2
 
     def test_too_low_precision_is_usage_error(self, capsys):
-        code, _, err = capture(capsys, ["verify", "modeq", "--p", "2", "--precision", "4"])
-        assert code == 2 and "precision" in err
+        code, _, err = capture(capsys, ["verify", "hrelation", "--p", "2", "--precision", "4"])
+        assert code == 2 and err == "error: precision must be at least 16\n"
 
-    @pytest.mark.parametrize("command", ["verify modeq", "table bj"])
+    @pytest.mark.parametrize("command", ["verify modeq", "table bj", "verify closure"])
     def test_precision_below_the_up_rule_names_the_flag(self, capsys, command):
-        # U_p phi keeps N // p coefficients, and b_1..b_p need p + 8 of them
+        # these run at the rule's own precision, p (p + 8) = 105 for the b_j
+        # and p (4p + 8) = 252 for the closure, and take no --precision
         code, out, err = capture(capsys, f"{command} --p 7 --precision 16".split())
-        assert code == 2 and out == "" and err == "error: precision must be at least 105\n"
+        assert code == 2 and out == ""
+        assert err == "error: unrecognized arguments: --precision 16\n"
 
     @pytest.mark.parametrize("tau", ["0+0.001i", "0+1e-30i", "0+1e5i", "0+1e308i"])
     def test_cusp_beyond_double_range_names_the_point(self, capsys, tau):
@@ -189,12 +199,14 @@ class TestVerify:
         "argv, message",
         [
             ("verify lehner --p 5 --m 1 --precision 16",
-             "--precision 16 does not determine n up to --n-max 32; --precision 817 suffices"),
+             "unrecognized arguments: --precision 16"),
             ("verify theorem2 --p 7 --m-max 3 --d-max 3 --n-max 10 --precision 128",
-             "--precision 128 does not determine n up to --n-max 10; --precision 3449 suffices"),
+             "--n-max and --precision exclude each other: give one"),
         ],
     )
     def test_too_low_precision_for_n_max_names_the_flags(self, capsys, argv, message):
+        # --n-max sizes the sweep alone: lehner takes no --precision, and
+        # theorem2 refuses one beside --n-max, whatever its value
         code, out, err = capture(capsys, shlex.split(argv))
         assert code == 2 and out == "" and err == f"error: {message}\n"
 
@@ -207,8 +219,7 @@ class TestVerifiersFail:
         monkeypatch.setattr(congruence, "bound", lambda ctx, d: bound(ctx, d) + 1000)
         code, out, _ = capture(
             capsys,
-            ["verify", "theorem2", "--p", "7", "--m-max", "3", "--d-max", "1",
-             "--n-max", "10", "--precision", "128"],
+            ["verify", "theorem2", "--p", "7", "--m-max", "3", "--d-max", "1", "--n-max", "10"],
         )
         lines = out.splitlines()
         assert code == 1
@@ -260,7 +271,7 @@ class TestVerifiersFail:
 
 class TestTable:
     def test_bj_text(self, capsys):
-        code, out, _ = capture(capsys, ["table", "bj", "--p", "3", "--precision", "64"])
+        code, out, _ = capture(capsys, ["table", "bj", "--p", "3"])
         assert code == 0
         assert "1  30" in out and "2  2916" in out and "3  59049" in out
 
@@ -423,23 +434,6 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err == "error: --tol must be a positive finite number, got 0\n"
 
-    def test_lehner_reads_the_precision_env(self, capsys):
-        argv = ["verify", "lehner", "--p", "5", "--m", "1"]
-        code, out, err = capture(capsys, argv + ["--precision", "8"])
-        assert code == 2 and out == "" and "precision must be at least 16" in err
-        # the flag is read: 16 leaves too few coefficients for n_max = 32
-        code, out, err = capture(capsys, argv + ["--precision", "16"])
-        assert code == 2 and out == "" and "--precision 16 does not" in err
-        # without the flag the precision follows from n_max = 32
-        assert capture(capsys, argv)[0] == 0
-
-    def test_closure_reads_the_precision(self, capsys):
-        argv = ["verify", "closure", "--p", "2", "--trials", "3"]
-        code, out, err = capture(capsys, argv + ["--precision", "16"])
-        assert code == 2 and out == ""
-        assert err == "error: --precision 16 is too low for --deg-max 4; --precision 32 suffices\n"
-        assert capture(capsys, argv + ["--precision", "600"])[0] == 0
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -488,8 +482,9 @@ README_EXAMPLES = {
         "11f4a932ffea662e5d185becb5b0aab852f5182478aa0412a7471d1c80b51f86",
     "verify theorem2 --p 5 --m-max 12 --d-max 3":
         "0f4c2adf6e81ce1458278209e6cb3c94404694e5e66ac61791830c95fdeb0b3d",
+    # N is the least precision that proves the b_j, p (p + 8) = 105
     "verify modeq --p 7":
-        "4658a6a133dc28d132ff78cd04581ec29437d5fd0e03a2437ebacb6086a94640",
+        "f602d172eb682119bb841cd31fd7c968e350a3393fb16efc9afda383c191836b",
     "verify closure --p 2 --trials 100 --seed 0":
         "efd0e270f3b099e0e97f8058ab851b3005ad0cd8534b05707757fab47ea25933",
     # the printed residual is round-off of the platform's complex exp

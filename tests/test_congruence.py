@@ -3,6 +3,8 @@ import math
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcong.congruence import (
     bound,
@@ -20,7 +22,7 @@ from qcong import basis, congruence, eta, series
 from qcong.basis import basis_element, basis_family
 from qcong.eta import phi_powers
 from qcong.primes import PrimeContext
-from qcong.series import PrecisionError, agree, val_p
+from qcong.series import agree, val_p
 
 
 def test_exploratory_p13_raises_before_building_psi(monkeypatch):
@@ -84,7 +86,7 @@ class TestTheorem2:
         assert case.observed == 11 and case.required == 11 and case.ok
 
     def test_requires_some_precision_argument(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one of n_max and base_prec"):
             verify_theorem2(PrimeContext(2), m_max=2, d_max=1)
 
     @pytest.mark.parametrize(
@@ -94,27 +96,42 @@ class TestTheorem2:
         with pytest.raises(ValueError):
             verify_theorem2(PrimeContext(7), m_max=m_max, d_max=d_max, n_max=n_max)
 
-    def test_rejects_n_max_beyond_the_known_coefficients(self):
-        # at base_prec 128 and p = 7, beta = 2 knows n <= 2 and beta = 3 nothing
-        with pytest.raises(ValueError, match=r"m=1, beta=2 .*default_base_precision"):
-            verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10, base_prec=128)
-        report = verify_theorem2(PrimeContext(7), m_max=3, d_max=1, n_max=10, base_prec=128)
-        assert {c.n for c in report.cases} == set(range(1, 11))
+    def test_n_max_alone_knows_every_block(self):
+        # default_base_precision(ctx, 3, 3, 10) = 10 * 7^3 + 3 + 16 = 3449 knows
+        # n = 1 .. 10 at beta = 3, where base_prec 128 would know nothing
+        report = verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10)
+        assert report.ok and report.base_prec == 3449
+        blocks = defaultdict(list)
+        for c in report.cases:
+            blocks[c.m, c.beta].append(c.n)
+        assert sorted(blocks) == [(m, beta) for m in (1, 2, 3) for beta in (1, 2, 3)]
+        assert all(ns == list(range(1, 11)) for ns in blocks.values())
 
     def test_rejects_n_max_before_building_psi(self, monkeypatch):
-        # each block's precision is known from base_prec alone, so too large
-        # an n_max fails before psi's factors, which the exact psi and the
-        # residue family both start from, or any basis element is built
+        # n_max and base_prec each size the sweep alone, so both together are
+        # refused, even a base_prec that knows every block, before psi's
+        # factors, which the exact psi and the residue family both start
+        # from, or any basis element is built
         def build(*args):
             raise AssertionError("psi built")
 
         monkeypatch.setattr(eta, "_kept", {})
         monkeypatch.setattr(eta, "_psi_factors", build)
-        with pytest.raises(PrecisionError, match=r"m=1, beta=2 only to n=2 < n_max=10"):
-            verify_theorem2(PrimeContext(7), m_max=3, d_max=3, n_max=10, base_prec=128)
-        # at p = 2 the first short block is m = 8, beta = 6: (4096 + 4) // 2^6
-        with pytest.raises(PrecisionError, match=r"m=8, beta=6 only to n=64 < n_max=100"):
-            verify_theorem2(PrimeContext(2), m_max=12, d_max=3, n_max=100, base_prec=4096)
+        for p, base_prec in ((7, 128), (7, 3449), (2, 4096)):
+            with pytest.raises(ValueError, match="^give exactly one of n_max and base_prec$"):
+                verify_theorem2(PrimeContext(p), m_max=3, d_max=3, n_max=10, base_prec=base_prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), m_max=st.integers(1, 40), d_max=st.integers(1, 4),
+       n_max=st.integers(1, 64))
+def test_default_base_precision_knows_every_block(p, m_max, d_max, n_max):
+    # the invariant that lets the sweep take n_max alone: f_m is known to
+    # base_prec + m_max - m, each U_p floor-divides that by p, and the deepest
+    # checked decimation of f_m, beta = v_p(m) + d_max, still knows n_max
+    base_prec = default_base_precision(PrimeContext(p), m_max, d_max, n_max)
+    for m in range(1, m_max + 1):
+        assert (base_prec + m_max - m) // p ** (val_p(m, p) + d_max) >= n_max, m
 
 
 class TestResidueSweep:

@@ -289,21 +289,6 @@ class TestClosure:
         report = verify_up_closure(PrimeContext(p), trials=10, deg_max=3, seed=42)
         assert report.ok
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_too_low_a_precision_raises_before_phi_is_built(self, p, monkeypatch):
-        def build(ctx, n):
-            raise AssertionError("phi was built")
-
-        monkeypatch.setattr(eta, "_kept", {})
-        monkeypatch.setattr(eta, "_build_phi", build)
-        need = p * (p * 4 + 8)  # n // p must reach 4p + 8
-        for n in (16, need - 1):
-            with pytest.raises(series.PrecisionError, match=f"{need} suffices"):
-                verify_up_closure(PrimeContext(p), trials=1, deg_max=4, n=n)
-        # at the bound the check passes and phi is asked for
-        with pytest.raises(AssertionError, match="phi was built"):
-            verify_up_closure(PrimeContext(p), trials=1, deg_max=4, n=need)
-
     def test_the_default_precision_is_the_one_enforced(self, monkeypatch):
         # at every prime phi is built once, at the rule's p (p deg_max + 8),
         # 252 at p = 7, and no longer
@@ -329,15 +314,21 @@ def test_every_phi_reading_at_the_rule_equals_one_at_256(p, monkeypatch):
     ctx = PrimeContext(p)
     monkeypatch.setattr(eta, "_kept", {})
     assert derive_bj(ctx).b == derive_bj(ctx, 256).b == BJ_TABLE[p]
+    rule = congruence._up_precision  # widened below, so that phi or f_m is known to 256
+
+    def widened(p, d):
+        return max(256, rule(p, d))
+
     for deg_max in (1, 2, 3, 4):
         monkeypatch.setattr(eta, "_kept", {})
         short = verify_up_closure(ctx, trials=12, deg_max=deg_max)
-        long = verify_up_closure(ctx, trials=12, deg_max=deg_max, n=256)
+        with monkeypatch.context() as wide:
+            wide.setattr(hecke, "_up_precision", widened)
+            long = verify_up_closure(ctx, trials=12, deg_max=deg_max)
         assert (short.basis, short.trials) == (long.basis, long.trials), deg_max
     monkeypatch.setattr(eta, "_kept", {})
     short = [decompose_up_step(ctx, m) for m in range(1, 13)]
-    rule = congruence._up_precision  # widened below, so that f_m is known to 256
-    monkeypatch.setattr(congruence, "_up_precision", lambda p, d: max(256, rule(p, d)))
+    monkeypatch.setattr(congruence, "_up_precision", widened)
     for a, b in zip(short, (decompose_up_step(ctx, m) for m in range(1, 13))):
         for field in dataclasses.fields(a):
             assert getattr(a, field.name) == getattr(b, field.name), (a.m, field.name)
@@ -376,12 +367,10 @@ class TestClosureBasis:
         ctx = PrimeContext(p)
         for seed in (0, 1, 7919):
             for deg_max in (1, 2, 3, 4):
-                floor = p * (p * deg_max + 8)
-                for n in (None, floor):
-                    report = verify_up_closure(ctx, trials=12, deg_max=deg_max, n=n, seed=seed)
-                    want = _closure_by_trial(ctx, 12, deg_max, n or floor, seed)
-                    assert report.trials == want, (seed, deg_max, n)
-                    assert report.ok
+                report = verify_up_closure(ctx, trials=12, deg_max=deg_max, seed=seed)
+                want = _closure_by_trial(ctx, 12, deg_max, p * (p * deg_max + 8), seed)
+                assert report.trials == want, (seed, deg_max)
+                assert report.ok
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_one_row_per_degree_and_the_routes_agree(self, p):
@@ -420,7 +409,7 @@ class TestClosureBasis:
     def test_a_changed_b_j_splits_the_routes(self, p, monkeypatch):
         derive = hecke.derive_bj
 
-        def changed(ctx, n):
+        def changed(ctx, n=None):
             eq = derive(ctx, n)
             return ModularEquation(ctx, eq.b[:-1] + (eq.b[-1] + 1,))
 
