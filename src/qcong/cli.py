@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -271,10 +272,18 @@ def _closure(args, ctx):
         f"delta={ctx.delta}: {len(bad)} failures, "
         + ("PASS" if report.ok else "FAIL")
     ]
+    # the proof: one row per basis vector p^gamma(k) phi^k, and the least slack
+    rows = [dataclasses.asdict(r) for r in report.basis]
+    lines += ["k={k}: t={t} slack={slack} j={j} agree={agree}".format(**r) for r in rows]
+    least = min((r for r in rows if r["slack"] is not None), key=lambda r: r["slack"], default=None)
+    lines.append("least slack " + ("{slack} at (k, j) = ({k}, {j})".format(**least) if least
+                                   else "none: no image is a polynomial"))
     for t in bad[:5]:
         error = f" ({t.error})" if t.error else ""
         lines.append(f"FAIL trial {t.index}: t={t.observed_t}{error}")
-    return {"target": "closure", "p": ctx.p, "ok": report.ok, "trials": args.trials}, None, lines
+    payload = {"target": "closure", "p": ctx.p, "ok": report.ok, "trials": args.trials,
+               "basis": rows, "least_slack": least}
+    return payload, None, lines
 
 
 def _cusp(args, ctx):

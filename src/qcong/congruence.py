@@ -275,6 +275,6 @@ def decompose_up_step(ctx: PrimeContext, m: int) -> UpStepDecomposition:
     if lower:
         s = s - fam[lower].series
     constant, poly = express_in_phi(ctx, s, m)
-    vals = {k: val_p(c, p) for k, c in sorted(poly.coeffs.items())}
+    vals = {k: _val_p_int(c, p) for k, c in sorted(poly.coeffs.items())}
     ok = all(v >= ctx.lam * k // 2 - 1 for k, v in vals.items())
     return UpStepDecomposition(ctx, m, constant, lower, vals, ok)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .basis import NotPolynomialError, PhiPolynomial, _up_precision, express_in_phi
 from .eta import phi, phi_powers
 from .primes import GENUS_ZERO_PRIMES, PrimeContext
-from .series import PrecisionError, QSeries, val_p
+from .series import PrecisionError, QSeries, _school_mul, _val_p_int
 
 # reference values for the modular-equation coefficients b_j, used as an
 # independent cross-check of the exact derivation
@@ -68,30 +69,30 @@ def g_poly(eq: ModularEquation, j: int) -> PhiPolynomial:
 
 
 def power_sums(eq: ModularEquation, n_max: int) -> list:
-    """Power sums 1..n_max of the roots of the modular equation, in one pass
-    of Newton's identities with the explicit n*g_n correction term."""
+    """Power sums 1..n_max of the roots of the modular equation, in one pass of
+    Newton's identities s_k = sum_j (-1)^(j+1) g_j s_(k-j) + (-1)^(k+1) k g_k
+    on int lists indexed by phi-degree, each product by the schoolbook kernel."""
     if n_max < 1:
         raise ValueError("n must be positive")
     p = eq.ctx.p
-    g = {j: g_poly(eq, j) for j in range(1, p + 1)}
-    sums = [None]  # 1-indexed
+    g = [None] + [[(-1) ** (j + 1) * c for c in map(g_poly(eq, j).__getitem__, range(p + 2 - j))]
+                  for j in range(1, p + 1)]  # (-1)^(j+1) g_j, of degree p + 1 - j
+    sums = [None]  # 1-indexed; s_k has degree k p
     for k in range(1, n_max + 1):
-        acc = PhiPolynomial()
-        for j in range(1, min(k - 1, p) + 1):
-            term = g[j] * sums[k - j]
-            acc = acc + term if (j + 1) % 2 == 0 else acc - term
-        if k <= p:
-            term = g[k] * k
-            acc = acc + term if (k + 1) % 2 == 0 else acc - term
+        acc = [0] * (k * p + 1)
+        for j in range(1, min(k, p) + 1):  # j = k is the correction term
+            term = _school_mul(g[j], sums[k - j]) if j < k else [k * c for c in g[k]]
+            acc[: len(term)] = map(add, acc, term)
         sums.append(acc)
-    return sums[1:]
+    return [PhiPolynomial(dict(enumerate(s))) for s in sums[1:]]
 
 
 def rp_report(ctx: PrimeContext, poly: PhiPolynomial) -> RpReport:
-    """Per-degree divisibility bookkeeping against the lattice exponents gamma."""
+    """Per-degree divisibility bookkeeping against the lattice exponents gamma:
+    the p-adic valuation of each (int) coefficient, by ``_val_p_int``."""
     if poly.constant != 0:
         raise ValueError("lattice membership is defined for constant-free polynomials")
-    per_degree = {k: val_p(c, ctx.p) for k, c in sorted(poly.coeffs.items())}
+    per_degree = {k: _val_p_int(c, ctx.p) for k, c in sorted(poly.coeffs.items())}
     t = min((v - ctx.gamma(k) for k, v in per_degree.items()), default=math.inf)
     return RpReport(t >= 0, t, per_degree)
 

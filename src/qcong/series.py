@@ -11,7 +11,7 @@ so that an operation never emits a coefficient its inputs do not determine.
 int and Fraction coefficients once, with the lcm of their denominators, and
 refuses any other type (float, bool, Decimal, ...); ``coeffs``, ``coeff``,
 ``terms`` and ``pretty`` read a value as an int where it is integral, else
-as a Fraction.  ``val_p`` takes O(log v) divisions for a long run.
+as a Fraction.  ``val_p`` takes about v / 8 divisions for a long run.
 
 A product runs a truncated integer convolution of the numerators, which
 returns only the coefficients that the product's precision determines.  The
@@ -60,6 +60,7 @@ from itertools import accumulate, repeat
 # int <-> str conversions raise beyond this many digits (0: no limit); the
 # function exists from Python 3.10.7 on
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_STRIDE = {}  # p -> p^8, made once per p: the stride of a long run in _val_p_int
 
 
 class NotInvertibleError(ArithmeticError):
@@ -71,6 +72,7 @@ class PrecisionError(ValueError):
 
 
 def _val_p_int(n: int, p: int):
+    """p-adic valuation of an int, +inf for 0: by p up to v = 12, then by p^8."""
     if n % p:
         return 0
     if n == 0:
@@ -78,8 +80,8 @@ def _val_p_int(n: int, p: int):
     if p == 2:  # the lowest set bit of n, in two's complement for n < 0
         return (n & -n).bit_length() - 1
     # a short run (the common case) one division at a time, the first one
-    # before the loop over a constant tuple; a longer run by p, p^2, p^4, ...
-    # while each divides, then by the same powers down, each at most once
+    # before the loop over a constant tuple; a long run by p^8, one digit of
+    # CPython's int for p <= 13, while it divides, then by p
     n //= p
     if n % p:
         return 1
@@ -87,15 +89,13 @@ def _val_p_int(n: int, p: int):
         n //= p
         if n % p:
             return v
-    v, powers = 12, [p]
-    while not n % powers[-1]:
-        n //= powers[-1]
-        v += 1 << (len(powers) - 1)
-        powers.append(powers[-1] ** 2)
-    for i in range(len(powers) - 2, -1, -1):
-        if not n % powers[i]:
-            n //= powers[i]
-            v += 1 << i
+    stride = _STRIDE.get(p) or _STRIDE.setdefault(p, p**8)
+    while not n % stride:
+        n //= stride
+        v += 8
+    while not n % p:
+        n //= p
+        v += 1
     return v
 
 

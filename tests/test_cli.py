@@ -142,7 +142,21 @@ class TestVerify:
         code, out, _ = capture(
             capsys, ["verify", "closure", "--p", "2", "--trials", "3", "--deg-max", "2"]
         )
-        assert code == 0 and "PASS" in out
+        assert code == 0 and out.splitlines()[1:] == [
+            "k=1: t=3 slack=0 j=1 agree=True",
+            "k=2: t=7 slack=4 j=2 agree=True",
+            "least slack 0 at (k, j) = (1, 1)",
+        ]
+
+    def test_closure_json_carries_the_proof(self, capsys):
+        argv = "verify closure --p 7 --trials 3 --format json".split()
+        code, out, _ = capture(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"]
+        assert [(r["k"], r["t"], r["slack"], r["j"], r["agree"]) for r in payload["basis"]] == [
+            (1, 1, 0, 1, True), (2, 2, 1, 2, True), (3, 3, 2, 1, True), (4, 4, 3, 1, True)
+        ]
+        assert payload["least_slack"] == payload["basis"][0]
 
     def test_cusp(self, capsys):
         code, out, _ = capture(capsys, ["verify", "cusp", "--p", "3", "--tau", "0+1i"])
@@ -234,8 +248,13 @@ class TestVerifiersFail:
         )
         lines = out.splitlines()
         assert code == 1 and "delta=99: 3 failures, FAIL" in lines[0]
-        assert [line.split(":")[0] for line in lines[1:]] == [f"FAIL trial {i}" for i in range(3)]
-        assert "(" not in out
+        assert lines[1:4] == [
+            "k=1: t=3 slack=-96 j=1 agree=True",
+            "k=2: t=7 slack=-92 j=2 agree=True",
+            "least slack -96 at (k, j) = (1, 1)",
+        ]
+        assert [line.split(":")[0] for line in lines[4:]] == [f"FAIL trial {i}" for i in range(3)]
+        assert "(" not in "".join(lines[4:])
 
     @pytest.mark.parametrize("outcome, reason", [
         ((1, PhiPolynomial()), "nonzero constant"),
@@ -251,8 +270,15 @@ class TestVerifiersFail:
         code, out, _ = capture(
             capsys, ["verify", "closure", "--p", "3", "--trials", "2", "--deg-max", "1"]
         )
+        proof = {
+            "nonzero constant": ["k=1: t=inf slack=inf j=None agree=False",
+                                 "least slack inf at (k, j) = (1, None)"],
+            "deliberate residual": ["k=1: t=None slack=None j=None agree=False",
+                                    "least slack none: no image is a polynomial"],
+        }
         assert code == 1
-        assert out.splitlines()[1:] == [f"FAIL trial {i}: t=None ({reason})" for i in range(2)]
+        assert out.splitlines()[1:3] == proof[reason]
+        assert out.splitlines()[3:] == [f"FAIL trial {i}: t=None ({reason})" for i in range(2)]
 
     def test_powersums(self, capsys, monkeypatch):
         monkeypatch.setattr(hecke, "power_sum_target", lambda ctx, n: 10**6)
@@ -485,8 +511,9 @@ README_EXAMPLES = {
     # N is the least precision that proves the b_j, p (p + 8) = 105
     "verify modeq --p 7":
         "f602d172eb682119bb841cd31fd7c968e350a3393fb16efc9afda383c191836b",
+    # the summary line, then one row per basis image and the least slack
     "verify closure --p 2 --trials 100 --seed 0":
-        "efd0e270f3b099e0e97f8058ab851b3005ad0cd8534b05707757fab47ea25933",
+        "cd5c109bf0d1ce51a3555678da7d8a2f3306b270bdad9592bf786c811332968f",
     # the printed residual is round-off of the platform's complex exp
     "verify cusp --p 3 --tau '1/3+i'":
         "72f5af37dce6d3493310cdecdb66c4bbadb7a5b2c2e970021b70ab8f0565b0ec",

@@ -120,6 +120,32 @@ class TestGPoly:
             g_poly(eq, 3)
 
 
+def newton_power_sums(eq, n_max):
+    """Reference route: Newton's identities on ``PhiPolynomial`` arithmetic,
+    s_k = sum_j (-1)^(j+1) g_j s_(k-j) + (-1)^(k+1) k g_k."""
+    p = eq.ctx.p
+    g = {j: g_poly(eq, j) for j in range(1, p + 1)}
+    sums = [None]  # 1-indexed
+    for k in range(1, n_max + 1):
+        acc = PhiPolynomial()
+        for j in range(1, min(k - 1, p) + 1):
+            term = g[j] * sums[k - j]
+            acc = acc + term if (j + 1) % 2 == 0 else acc - term
+        if k <= p:
+            term = g[k] * k
+            acc = acc + term if (k + 1) % 2 == 0 else acc - term
+        sums.append(acc)
+    return sums[1:]
+
+
+def division_loop_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 class TestPowerSums:
     def test_level2_base_cases(self):
         eq = derive_bj(PrimeContext(2))
@@ -160,6 +186,31 @@ class TestPowerSums:
             }
         )
         assert power_sums(eq, 3)[-1] == expected_s3
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_int_lists_match_the_phi_polynomial_route(self, p):
+        eq = derive_bj(PrimeContext(p))
+        assert power_sums(eq, 3 * p) == newton_power_sums(eq, 3 * p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_changed_b_j_moves_both_routes_alike(self, p):
+        # b_1 off by one: neither route may read BJ_TABLE or the derived b_j
+        eq = derive_bj(PrimeContext(p))
+        changed = ModularEquation(eq.ctx, (eq.b[0] + 1,) + eq.b[1:])
+        sums = power_sums(changed, 3 * p)
+        assert sums == newton_power_sums(changed, 3 * p)
+        assert sums[0] != power_sums(eq, 1)[0]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_coefficient_valuations_match_the_division_loop(self, p):
+        # the long runs of val_p: up to v = 196 on ints of up to 559 bits at p = 7
+        ctx = PrimeContext(p)
+        sums = power_sums(derive_bj(ctx), 2 * p)
+        for s in sums:
+            loop = {k: division_loop_valuation(c, p) for k, c in s.coeffs.items()}
+            assert rp_report(ctx, s).per_degree == loop
+        assert max(division_loop_valuation(c, p) for s in sums for c in s.coeffs.values()) == {
+            5: 150, 7: 196}[p]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_one_pass_matches_each_power_sum(self, p):
