@@ -13,9 +13,10 @@ sweep reads (``_residue_family``), p^K the largest whose Kronecker limb is two
 64-bit words (``_residue_modulus``), start from psi's two eta factors multiplied
 mod p^K and take it on values packed for the binary Kronecker kernel, each f_k
 packed once, at one squaring per step: an odd m's product comes by
-polarization from two kept squares.  There the multipliers come from the
-first m coefficients, and the product less the cleared principal part is
-formed on the packed values and unpacked once.
+polarization from two kept squares, each formed to the low bits the unpack
+reads only, since the rest only carries upward.  There the multipliers come
+from the first m coefficients, and the product less the cleared principal
+part is formed on the packed values and unpacked once.
 f_m as a polynomial in psi comes on demand from the Lagrange-Faber formula.
 Both families are built at each call, and the powers of phi are read from the
 store of ``eta``.  The precision that writing U_p of a series in phi needs is
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 from . import eta  # eta._psi_factors, looked up per call: one substitute reaches both families
 from .eta import phi_powers, psi
 from .primes import PrimeContext
-from .series import PrecisionError, QSeries, _ks2_combine, _ks2_pack, _school_mul, mul_int_lists
+from .series import (PrecisionError, QSeries, _ks2_combine, _ks2_pack, _ks2_read, _low_square,
+                     _school_mul, mul_int_lists)
 
 
 class NotPolynomialError(ValueError):
@@ -220,8 +222,11 @@ def _residue_family(ctx: PrimeContext, m_max: int, n: int):
     64-bit words, so each f_k is packed once.  Each f_m starts
     from f_i f_j, i = floor(m/2), j = ceil(m/2), at the two points of the packed format,
     by one squaring pair: the square f_j^2 new at an odd m, kept for the even m + 1,
-    and from both kept squares the cross term by polarization.  The product less
-    sum c_k x^(m-k) f_k is formed on the packed values, unpacked and reduced once."""
+    and from both kept squares the cross term by polarization.  Each square is
+    formed mod 2^keep only, keep the bits ``_ks2_unpack`` reads and one for the
+    polarization's >> 1: the dropped multiple of 2^keep, like a dropped limb, only
+    carries upward.  The product less sum c_k x^(m-k) f_k is formed on the packed
+    values, unpacked and reduced once."""
     prec = n + m_max - 1
     size = prec + 2  # q^-1 .. q^prec
     modulus = _residue_modulus(ctx.p, size)
@@ -232,17 +237,18 @@ def _residue_family(ctx: PrimeContext, m_max: int, n: int):
     fam = [[1], [c % modulus for c in mul_int_lists(a, b, size)]]  # fam[m]: q^-m .. q^(prec-m+1)
     del a, b
     bits = _residue_limb(modulus, size)
+    keep = _ks2_read(bits, size) + 1  # and one bit for the polarization's >> 1
     packs = [None]  # packs[k] is f_k packed, made once, just before f_(k+1)
-    squares = {}  # squares[k] is f_k^2 at the two points, read by steps 2k - 1 .. 2k + 1
+    squares = {}  # squares[k]: f_k^2 mod 2^keep at the two points, read by steps 2k - 1 .. 2k + 1
     for m in range(2, m_max + 1):
         packs.append(_ks2_pack(fam[m - 1], bits, size))
         i, j = m // 2, (m + 1) // 2
         for k in {i, j} - squares.keys():
-            squares[k] = [pow(x, 2) for x in packs[k]]
+            squares[k] = [_low_square(x, keep) for x in packs[k]]
         if i == j:
             product = squares[i]
-        else:  # f_i f_j = ((f_i + f_j)^2 - f_i^2 - f_j^2) / 2, exact at each point
-            product = [(pow(x + y, 2) - u - v) >> 1 for x, y, u, v
+        else:  # f_i f_j = ((f_i + f_j)^2 - f_i^2 - f_j^2) / 2, exact at each point mod 2^(keep-1)
+            product = [(_low_square(x + y, keep) - u - v) >> 1 for x, y, u, v
                        in zip(packs[i], packs[j], squares.pop(i), squares[j])]
         # f_k has no pole term but q^-k, so clearing q^-k leaves every other
         # pole term as it was: c_k is the product's own coefficient at q^-k,

@@ -29,6 +29,7 @@ from . import congruence, eta, hecke
 from .basis import _up_precision, basis_element
 from .congruence import j_series
 from .primes import PrimeContext
+from .series import val_p
 
 
 class UsageError(Exception):
@@ -190,10 +191,18 @@ def _theorem2(args, ctx):
     prec = None if args.n_max is not None else _precision(args, default={2: 4096}.get(ctx.p, 2048))
     report = congruence.verify_theorem2(ctx, args.m_max, args.d_max, args.n_max, prec)
     failures = report.failures
+    # a checked block (m, beta), v_p(m) < beta <= v_p(m) + d_max, whose U_p^beta f_m the
+    # precision left no coefficient of, adds no case: named here, not passed silently
+    seen = {(c.m, c.beta) for c in report.cases}
+    empty = [(m, b) for m in range(1, args.m_max + 1)
+             for b in range(val_p(m, ctx.p) + 1, val_p(m, ctx.p) + args.d_max + 1)
+             if (m, b) not in seen]
     lines = [
         f"theorem2 p={ctx.p} m<={args.m_max} d<={args.d_max} base_prec={report.base_prec}",
         f"cases checked: {len(report.cases)}",
     ]
+    if empty:
+        lines.append("no coefficient known in (m, beta) = " + ", ".join(map(str, empty)))
     for c in failures[:5]:
         lines.append(
             f"FAIL m={c.m} beta={c.beta} n={c.n}: v_{c.p}={c.observed} "
@@ -207,6 +216,7 @@ def _theorem2(args, ctx):
         "cases": len(report.cases),
         "failures": len(failures),
         "base_prec": report.base_prec,
+        "empty_blocks": empty,
     }
     return payload, None, lines
 

@@ -189,6 +189,20 @@ def _ks2_unpack(plus, minus, bits, m):
     return out
 
 
+def _ks2_read(bits, m):
+    """The low bits of C(+-2^n) that ``_ks2_unpack`` reads for c_0 .. c_(m-1).  Adding
+    a multiple of 2^read moves no read limb: like a dropped c_k, it carries upward."""
+    return _ks2_limb(bits)[1] * (m + 1) + 1
+
+
+def _low_square(x, keep):
+    """x^2 mod 2^keep, plus a multiple of 2^keep: with x = lo + hi 2^h, 2h >= keep, x^2 =
+    lo^2 + lo hi 2^(h+1) + hi^2 2^(2h), and lo, hi reach lo hi 2^(h+1) mod 2^(keep-h)."""
+    h = (keep + 1) >> 1
+    lo, cut = x & ((1 << h) - 1), (1 << (keep - h)) - 1
+    return lo * lo + (((lo & cut) * ((x >> h) & cut)) << (h + 1))
+
+
 def _ks2_combine(product, terms, bits, m):
     """c_0 .. c_(m-1) of C - sum c x^s F over terms (c, s, F), where C is given
     at the two points, product = (C(2^n), C(-2^n)), and each F is a pair from

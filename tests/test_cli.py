@@ -137,6 +137,20 @@ class TestVerify:
         code, out, _ = capture(capsys, argv)
         assert code == 0 and out.splitlines()[0].endswith(" base_prec=3449")
         assert out.splitlines()[1:] == ["cases checked: 90", "PASS"]
+        code, out, _ = capture(capsys, argv + ["--format", "json"])
+        assert code == 0 and json.loads(out)["empty_blocks"] == []
+
+    def test_empty_blocks_are_named(self, capsys):
+        # 768 + 12 - 7 = 773 coefficients of f_7 leave none at beta = 4:
+        # 773 // 7^4 = 0; PASS, the exit code and the case count are unchanged
+        argv = "verify theorem2 --p 7 --m-max 12 --d-max 3 --precision 768".split()
+        code, out, _ = capture(capsys, argv)
+        assert code == 0 and out.splitlines()[1:] == [
+            "cases checked: 1415", "no coefficient known in (m, beta) = (7, 4)", "PASS"]
+        code, out, _ = capture(capsys, argv + ["--format", "json"])
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] and payload["cases"] == 1415
+        assert payload["empty_blocks"] == [[7, 4]]
 
     def test_closure_small(self, capsys):
         code, out, _ = capture(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from collections import defaultdict
 
 import pytest
@@ -172,6 +173,22 @@ class TestResidueSweep:
                 for m, e in enumerate(basis_family(ctx, m_max, n)[1:], start=1):
                     assert (residues[m].val, residues[m].prec) == (-m, e.series.prec)
                     assert residues[m].coeffs == tuple(c % moduli[0] for c in e.series.coeffs)
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_residues_read_no_bit_of_a_square_from_keep_on(self, p, monkeypatch):
+        # each square is formed only mod 2^keep, keep the bits the unpack reads and
+        # one for the polarization's >> 1: adding any multiple of 2^keep to each,
+        # different at the two points, leaves every residue as it was
+        ctx = PrimeContext(p)
+        low_square = series._low_square
+        rng = random.Random(p)
+        monkeypatch.setattr(basis, "_low_square",
+                            lambda x, keep: low_square(x, keep) + (rng.randint(-9, 9) << keep))
+        for m_max, n in ((3, 0), (12, 64), (13, 65), (12, 768)):
+            modulus = basis._residue_modulus(p, n + m_max + 1)
+            residues = basis._residue_family(ctx, m_max, n)
+            for m, e in enumerate(basis_family(ctx, m_max, n)[1:], start=1):
+                assert residues[m].coeffs == tuple(c % modulus for c in e.series.coeffs)
 
     @pytest.mark.parametrize("modulus", [2**64, 7**23])
     def test_packed_combination_at_the_largest_residues(self, modulus):

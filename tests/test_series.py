@@ -27,8 +27,10 @@ from qcong.series import (
     _ks2_combine,
     _ks2_limb,
     _ks2_pack,
+    _ks2_read,
     _ks2_unpack,
     _limb_bits,
+    _low_square,
     _school_mul,
     agree,
     mul_int_lists,
@@ -891,6 +893,58 @@ class TestKroneckerKernel:
             for c, shift, _ in terms:
                 want[shift:] = [x - c * y for x, y in zip(want[shift:], top)]
             assert _ks2_combine([x * x for x in pa], terms, bits, size) == want
+
+    # The residue family squares only the low bits that the unpack reads: a
+    # change of C(+-2^n) by a multiple of 2^_ks2_read moves no read limb.
+
+    def test_low_square_is_the_square_mod_2_to_the_keep(self):
+        rng = random.Random(36)
+        for keep in (1, 2, 3, 64, 65, 127, 128, 1000, 1001):
+            for size in (0, 1, keep // 2, keep - 1, keep, keep + 1, 2 * keep + 3):
+                for x in {0, 1, -1, 2**size, -(2**size), 2**size - 1, 1 - 2**size,
+                          rng.getrandbits(size), -rng.getrandbits(size)}:
+                    assert x.bit_length() <= size + 1
+                    assert _low_square(x, keep) % 2**keep == x * x % 2**keep, (x, keep)
+
+    def test_read_bits_bound_the_unpack(self):
+        rng = random.Random(37)
+        for bits, m in ((20, 7), (64, 6), (127, 9), (128, 8)):
+            read = _ks2_read(bits, m)
+            top = 2 ** (bits - 2) - 1
+            plus, minus = _ks2_pack([rng.randint(-top, top) for _ in range(m)], bits, m)
+            kept = _ks2_unpack(plus, minus, bits, m)
+            for j, k in ((1, 0), (0, 1), (-3, 5)):
+                assert _ks2_unpack(plus + (j << read), minus + (k << read), bits, m) == kept
+            # one bit lower reaches a read limb, at either point
+            assert _ks2_unpack(plus + (1 << (read - 1)), minus, bits, m) != kept
+            assert _ks2_unpack(plus, minus + (1 << (read - 1)), bits, m) != kept
+
+    def test_low_squares_unpack_like_full_squares_at_the_two_word_limb(self):
+        # the residue family's polarization, f_i f_j = ((f_i + f_j)^2 - f_i^2 - f_j^2) / 2
+        # at each point, from squares kept to _ks2_read + 1 bits (one for the >> 1),
+        # at a limb of two 8-byte words; a product of opposite signs makes
+        # C(-2^n) negative, and its kept coefficients the widest the limb holds
+        size, bits = 781, 128
+        assert _ks2_limb(bits)[0] == 16
+        keep = _ks2_read(bits, size) + 1
+        top = math.isqrt((2 ** (bits - 2) - 1) // size)  # size top^2 < 2^(bits-2)
+        rng = random.Random(38)
+        runs = [([top] * size, [-top] * size, True),
+                ([(-1) ** k * top for k in range(size)], [-top] * size, True),
+                ([rng.randint(-top, top) for _ in range(size)],
+                 [rng.randint(-top, top) for _ in range(size)], False)]
+        for a, b, negative in runs:
+            pa, pb = _ks2_pack(a, bits, size), _ks2_pack(b, bits, size)
+            full = [(pow(x + y, 2) - x * x - y * y) >> 1 for x, y in zip(pa, pb)]
+            low = [(_low_square(x + y, keep) - _low_square(x, keep) - _low_square(y, keep)) >> 1
+                   for x, y in zip(pa, pb)]
+            assert full == [x * y for x, y in zip(pa, pb)] and low != full
+            assert full[1] < 0 or not negative
+            assert _ks2_unpack(*low, bits, size) == _ks2_unpack(*full, bits, size)
+            assert _ks2_unpack(*full, bits, size) == _school_mul(a, b, size)
+            # a kept square is read at one bit fewer
+            squares = [_low_square(x, keep - 1) for x in pa]
+            assert _ks2_unpack(*squares, bits, size) == _school_mul(a, a, size)
 
     def test_one_word_squares_classes_and_combinations(self, monkeypatch):
         calls = _spy_methods(monkeypatch)
